@@ -4,12 +4,12 @@ Configuration is flat INI (key = value in named sections): [model] tag
 plus parameters, [market] s0/r, [option] k/t/payoff, [numerics]
 n_steps/n_paths/seed/confidence/epsilon/cell_integrated/workers,
 [task] kinds/variant/oracles/ns_schedule.  Output is CSV only, UTF-8,
-first line `# volterra-greeks v1 schema`; plotting is left to external
-tools.
+first line `# volterra-greeks v1 schema; rng stream 2` (paths.RNG_STREAM);
+plotting is left to external tools.
 
 Exit statuses: 0 success, 2 config error (message carries the
 section.key field path), 3 unsupported kind-model combination,
-4 numerical failure (too many discarded paths).
+4 numerical failure (too few usable paths, or a non-finite sample).
 """
 
 from __future__ import annotations
@@ -44,11 +44,11 @@ from .models import (
     UnsupportedError,
 )
 from .oracles import bs_price_greeks, fd_greek
-from .paths import TimeGrid
+from .paths import RNG_STREAM, TimeGrid
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
-SCHEMA_COMMENT = "# volterra-greeks v1 schema"
+SCHEMA_COMMENT = f"# volterra-greeks v1 schema; rng stream {RNG_STREAM}"
 WORKERS_ENV = "VOLTERRA_GREEKS_WORKERS"
 _PRICE_COLS = ["kind", "value", "stderr", "ci_low", "ci_high", "n_paths", "n_discarded", "seed", "wallclock_ms"]
 _GREEK_COLS = ["kind", "method", "variant", "value", "stderr", "ci_low", "ci_high",

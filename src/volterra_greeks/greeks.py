@@ -21,11 +21,11 @@ in the derived gamma is int_0^T D_t pi dt expanded as
 T/intG - W_T iintDsG / intG^2 + C / intG^2 - 2 iintDsG^2 / intG^3 with
 C the triple D_sG integral.
 
-Determinism: path p draws from a substream keyed by (seed, p), samples
-are assembled into a path-indexed array, and all reductions run over
-that array in a fixed pairwise order, so estimates are bit-identical for
-a given (seed, config) regardless of worker count or batching, and runs
-with larger n_paths extend smaller ones.
+Determinism: path p is row p % 256 of the substream keyed by (seed,
+p // 256) (RNG stream 2), samples go into a path-indexed array, and all
+reductions run over it in a fixed pairwise order, so estimates are
+bit-identical for a given (seed, config) under any worker count or
+batching, and runs with larger n_paths extend smaller ones.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ _CHUNK = 8192
 
 
 class NumericalFailureError(RuntimeError):
-    """Too few usable paths to form an estimate."""
+    """Too few usable paths, or a non-finite sample on a used path."""
 
 
 @dataclass(frozen=True)
@@ -137,14 +137,10 @@ def _normalize_tasks(tasks) -> list:
     return out
 
 
-def _chunk_ranges(n_paths: int):
-    return [(s, min(s + _CHUNK, n_paths)) for s in range(0, n_paths, _CHUNK)]
-
-
 def _task_samples(tasks, model, market, opt, grid, bundle: PathBundle):
     """Per-path samples for each (kind, variant) task on one bundle."""
     disc = math.exp(-market.r * opt.maturity)
-    f = payoff(opt, bundle.S[..., -1])
+    f = payoff(opt, bundle.ST)
     s0 = market.s0
     horizon = grid.n * grid.dt
     need_w = any(k != "price" for k, _ in tasks)
@@ -191,7 +187,7 @@ def _task_samples(tasks, model, market, opt, grid, bundle: PathBundle):
 
 def _run_chunks(n_paths: int, workers: int, fn):
     """Run fn(start, stop) over fixed chunks, results in path order."""
-    ranges = _chunk_ranges(n_paths)
+    ranges = [(s, min(s + _CHUNK, n_paths)) for s in range(0, n_paths, _CHUNK)]
     if workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(lambda r: fn(*r), ranges))
@@ -218,9 +214,9 @@ def _all_task_samples(tasks, model, market, opt, grid, n_paths, seed, cell_integ
 
 def _reduce(kind, variant, x, valid, confidence) -> GreekEstimate:
     used = x[valid]
-    n_used = used.size
-    if n_used < 2:
-        raise NumericalFailureError(f"only {n_used} usable paths for {kind}")
+    n_used, n_bad = used.size, used.size - np.count_nonzero(np.isfinite(used))
+    if n_used < 2 or n_bad:
+        raise NumericalFailureError(f"{n_used} usable paths for {kind}, {n_bad} of them with non-finite samples")
     value = float(np.mean(used))
     stderr = float(np.std(used, ddof=1) / math.sqrt(n_used))
     z = float(norm.ppf(0.5 * (1.0 + confidence)))

@@ -208,16 +208,16 @@ class PathBundle:
     """Simulated paths plus cached per-run grid vectors.
 
     Path arrays have time as the last axis (length n+1 for paths, n for
-    increments) and may carry a leading path axis.  kappa_hat holds the
-    left-point kernel row integrals dt * sum_{j<i} K(t_i, t_j) used by the
-    weight formulas; idv_static the deterministic dt * sum_{j<i} D[j][i]
-    for the Stein-Stein models.
+    increments) and may carry a leading path axis; ST is the terminal
+    asset value alone.  kappa_hat holds the left-point kernel row integrals
+    dt * sum_{j<i} K(t_i, t_j) used by the weight formulas; idv_static the
+    deterministic dt * sum_{j<i} D[j][i] for the Stein-Stein models.
     """
 
     inc: DriverIncrements
     Y: Optional[np.ndarray]
     V: np.ndarray
-    S: np.ndarray
+    ST: np.ndarray
     yp: Optional[np.ndarray] = None
     vh: Optional[np.ndarray] = None
     vhp: Optional[np.ndarray] = None
@@ -299,12 +299,10 @@ def vol_path(model: ModelSpec, grid: TimeGrid, inc: DriverIncrements, cell_integ
 
 
 def price_path(market: MarketSpec, model: ModelSpec, grid: TimeGrid, v: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """Log-Euler asset path started at s0; last axis length n+1."""
+    """Log-Euler S_T = s0 exp(r T - dt/2 sum sigma_i^2 + sum sigma_i dW_i); shape v.shape[:-1]."""
     sv = sigma_of(model, v[..., :-1])
-    linc = (market.r - 0.5 * sv * sv) * grid.dt + sv * dw
-    logs = np.zeros(v.shape)
-    np.cumsum(linc, axis=-1, out=logs[..., 1:])
-    return market.s0 * np.exp(logs)
+    ssq, cross = np.einsum("...i,...i->...", sv, sv), np.einsum("...i,...i->...", sv, dw)
+    return market.s0 * np.exp(market.r * grid.T - 0.5 * grid.dt * ssq + cross)
 
 
 def make_bundle(
@@ -317,8 +315,8 @@ def make_bundle(
 ) -> PathBundle:
     """Simulate all paths a Greek estimate needs and cache grid vectors."""
     v, aux = vol_path(model, grid, inc, cell_integrated)
-    s = price_path(market, model, grid, v, inc.dW)
-    b = PathBundle(inc=inc, Y=aux.get("Y"), V=v, S=s, yp=aux.get("Yp"), vh=aux.get("Vh"), vhp=aux.get("Vhp"))
+    st = price_path(market, model, grid, v, inc.dW)
+    b = PathBundle(inc=inc, Y=aux.get("Y"), V=v, ST=st, yp=aux.get("Yp"), vh=aux.get("Vh"), vhp=aux.get("Vhp"))
     dt = grid.dt
     if isinstance(model, AlphaRFSV):
         b.kappa_hat = dt * kernel_matrix(model.kernel, grid.times).sum(axis=1)

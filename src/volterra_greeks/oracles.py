@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from scipy.stats import norm
 
-from .greeks import GreekEstimate, OptionSpec, _reduce, _rho_of, _run_chunks, payoff
+from .greeks import GreekEstimate, OptionSpec, _reduce, _rho_of, _run_chunks, _validate_run, payoff
 from .models import (
     AlphaRFSV,
     BlackScholes,
@@ -154,10 +154,7 @@ def fd_greek(
     """
     if kind not in _FD_PARAM:
         raise ValueError(f"kind must be one of {sorted(_FD_PARAM)}, got {kind!r}")
-    if opt.maturity != grid.T:
-        raise ValueError(f"option maturity {opt.maturity} must equal the grid horizon {grid.T}")
-    if n_paths < 2:
-        raise ValueError(f"n_paths must be >= 2, got {n_paths}")
+    _validate_run(model, market, opt, grid, n_paths, confidence)
     parameter = _FD_PARAM[kind]
     bump = bump or default_bump(parameter)
     if bump.parameter != parameter:
@@ -180,8 +177,7 @@ def fd_greek(
 
     def one(md, mk, inc):
         v, _ = vol_path(md, grid, inc, cell_integrated)
-        s = price_path(mk, md, grid, v, inc.dW)
-        return payoff(opt, s[..., -1])
+        return payoff(opt, price_path(mk, md, grid, v, inc.dW))
 
     def chunk(start, stop):
         m = stop - start

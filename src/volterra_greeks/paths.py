@@ -1,10 +1,10 @@
 """Time grid, correlated driver increments and discrete Volterra paths.
 
 Simulation is exact-in-law for the Gaussian driver: on a uniform grid with
-step dt, each path p draws dW, dWt ~ N(0, dt) i.i.d. from its own
-substream seeded by (master seed, path index), so path p is identical
-under any batching or worker schedule and larger runs extend smaller
-ones.  The volatility driver is dZ = rho dW + sqrt(1 - rho^2) dWt.
+step dt, dW, dWt ~ N(0, dt) i.i.d. from block-keyed substreams (RNG stream
+2): path p is row p % 256 of a generator keyed by (seed, p // 256), so it
+depends only on (seed, path index), never on batching or worker schedule,
+and larger runs extend smaller ones.  dZ = rho dW + sqrt(1 - rho^2) dWt.
 
 The Volterra path uses the left-point rule
 
@@ -27,7 +27,11 @@ import numpy as np
 
 from .kernel import KernelSpec, cell_variance_matrix, kernel_dh_matrix, kernel_matrix
 
+RNG_STREAM = 2  # version of the (seed, path index) -> draws map, in the CLI schema line
+_BLOCK = 256  # paths per substream; divides greeks._CHUNK
+
 __all__ = [
+    "RNG_STREAM",
     "TimeGrid",
     "DriverIncrements",
     "VolterraPath",
@@ -87,22 +91,23 @@ def gen_increments(
 ) -> DriverIncrements:
     """Draw increments for paths [start, start + n_paths).
 
-    Each path has its own substream derived from (seed, path index), so
-    results for a given path do not depend on batching, worker count or
-    the total number of paths requested.
+    Path p is row p % 256 of the draws of the generator keyed by (seed,
+    p // 256), so results for a given path do not depend on batching,
+    worker count or the total number of paths requested.
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    sqdt = math.sqrt(grid.dt)
+    stop = start + n_paths
     z = np.empty((n_paths, 2, grid.n))
-    for k in range(n_paths):
-        ss = np.random.SeedSequence(seed, spawn_key=(start + k,))
-        rng = np.random.Generator(np.random.PCG64(ss))
-        z[k] = rng.standard_normal((2, grid.n))
-    dW = z[:, 0, :] * sqdt
-    dWt = z[:, 1, :] * sqdt
+    for b in range(start // _BLOCK, (stop - 1) // _BLOCK + 1):
+        lo, hi = max(start, b * _BLOCK), min(stop, (b + 1) * _BLOCK)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
+        rng.standard_normal((lo - b * _BLOCK, 2, grid.n))  # discard the block's rows before start
+        rng.standard_normal(out=z[lo - start : hi - start])
+    z *= math.sqrt(grid.dt)
+    dW, dWt = z[:, 0, :], z[:, 1, :]
     dZ = rho * dW + math.sqrt(1.0 - rho * rho) * dWt
     return DriverIncrements(dW=dW, dWt=dWt, dZ=dZ, rho=rho)
 

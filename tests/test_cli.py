@@ -2,6 +2,7 @@ import csv
 import io
 import math
 
+import numpy as np
 import pytest
 
 from volterra_greeks.cli import ConfigError, load_config, main
@@ -106,7 +107,7 @@ def test_price_command_matches_oracle(tmp_path):
     out = str(tmp_path / "price.csv")
     assert main(["price", "--config", _write(tmp_path, BS_CFG), "--out", out]) == 0
     header, cols, rows = _read_csv(out)
-    assert header == "# volterra-greeks v1 schema"
+    assert header == "# volterra-greeks v1 schema; rng stream 2"
     assert cols == ["kind", "value", "stderr", "ci_low", "ci_high",
                     "n_paths", "n_discarded", "seed", "wallclock_ms"]
     assert len(rows) == 1
@@ -187,12 +188,24 @@ def test_numerical_failure_exit_4(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_non_finite_samples_exit_4(tmp_path, capsys):
+    cfg = BS_CFG.replace("xi = 0.0", "xi = 300").replace("alpha = 1.0", "alpha = 0.0")
+    cfg = cfg.replace("rho = 0.0", "rho = -0.7").replace("h = 0.14", "h = 0.1")
+    cfg = cfg.replace("n_paths = 8000", "n_paths = 2000").replace("seed = 7", "seed = 1")
+    with np.errstate(all="ignore"):
+        assert main(["price", "--config", _write(tmp_path, cfg)]) == 4
+        assert main(["greek", "--config", _write(tmp_path, cfg.replace("oracles = fd, bs\n", ""))]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err and "non-finite" in captured.err
+
+
 def test_converge_command(tmp_path):
     cfg = BS_CFG.replace("oracles = fd, bs", "ns_schedule = 500, 2000, 8000")
     out = str(tmp_path / "conv.csv")
     assert main(["converge", "--config", _write(tmp_path, cfg), "--out", out]) == 0
     header, cols, rows = _read_csv(out)
-    assert header == "# volterra-greeks v1 schema"
+    assert header == "# volterra-greeks v1 schema; rng stream 2"
     assert cols == ["ns", "value", "ci_low", "ci_high"]
     assert [r[0] for r in rows] == ["500", "2000", "8000"]
     for r in rows:
@@ -280,7 +293,7 @@ def test_stdout_output(tmp_path, capsys):
     assert main(["greek", "--config", cfg]) == 0
     captured = capsys.readouterr().out
     lines = captured.strip().split("\n")
-    assert lines[0] == "# volterra-greeks v1 schema"
+    assert lines[0] == "# volterra-greeks v1 schema; rng stream 2"
     rows = list(csv.reader(io.StringIO("\n".join(lines[1:]))))
     assert rows[0][0] == "kind"
     assert rows[1][0] == "delta"

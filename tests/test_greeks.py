@@ -194,6 +194,16 @@ def test_degenerate_model_raises_numerical_failure():
         estimate("delta", broken, BS_MKT, OPT, GRID, 100, seed=0)
 
 
+def test_non_finite_samples_raise_numerical_failure():
+    # V overflows on some paths; price and delta samples there are NaN and
+    # must not be averaged into a NaN estimate
+    exploding = AlphaRFSV(v0=0.2, xi=300.0, alpha=0.0, rho=-0.7, kernel=KernelSpec(H=0.1))
+    with np.errstate(all="ignore"):
+        for kind in ("price", "delta"):
+            with pytest.raises(NumericalFailureError, match=f"for {kind}, [1-9][0-9]* of them with non-finite"):
+                estimate(kind, exploding, BS_MKT, OPT, GRID, 2_000, seed=1)
+
+
 def test_unsupported_kind_model_pairs():
     ss = SteinStein(v0=0.3, kappa=1.5, theta=0.25, nu=0.4, rho=-0.5)
     with pytest.raises(UnsupportedError):

@@ -116,16 +116,34 @@ def test_price_path_zero_vol_is_forward():
     g = TimeGrid(T=2.0, n=8)
     mkt = MarketSpec(s0=100.0, r=0.03)
     dw = gen_increments(g, 0.0, seed=1, n_paths=3).dW
-    s = price_path(mkt, BlackScholes(sigma=0.2), g, np.zeros((3, 9)), dw)
-    assert np.allclose(s[:, -1], 100.0 * math.exp(0.03 * 2.0), rtol=1e-14)
+    st = price_path(mkt, BlackScholes(sigma=0.2), g, np.zeros((3, 9)), dw)
+    assert np.allclose(st, 100.0 * math.exp(0.03 * 2.0), rtol=1e-14)
 
 
 def test_price_path_one_step_cancellation():
     # r = 0, sigma = 0.2, dW = 0.1, dt = 1: the exponent cancels exactly
     g = TimeGrid(T=1.0, n=1)
     v = np.array([0.2, 0.2])
-    s = price_path(MKT, BlackScholes(sigma=0.2), g, v, np.array([0.1]))
-    assert s[1] == pytest.approx(100.0, rel=1e-15)
+    st = price_path(MKT, BlackScholes(sigma=0.2), g, v, np.array([0.1]))
+    assert st == pytest.approx(100.0, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.3, kernel=K14), AlphaSV(v0=0.04, xi=0.3, alpha=1.0, rho=-0.5)],
+    ids=["sigma=V", "sigma=sqrt(V)"],
+)
+def test_price_path_matches_stepwise_log_euler(model):
+    # S_T from the summed exponent equals the step-by-step product
+    g = TimeGrid(T=1.0, n=16)
+    mkt = MarketSpec(s0=100.0, r=0.03)
+    inc = gen_increments(g, model.rho, seed=4, n_paths=5)
+    v, _ = vol_path(model, g, inc)
+    s = np.full(5, 100.0)
+    for i in range(g.n):
+        sig = np.sqrt(v[:, i]) if isinstance(model, AlphaSV) else v[:, i]
+        s = s * np.exp((0.03 - 0.5 * sig * sig) * g.dt + sig * inc.dW[:, i])
+    assert np.allclose(price_path(mkt, model, g, v, inc.dW), s, rtol=1e-13, atol=0.0)
 
 
 def test_terminal_log_price_moments():
@@ -134,7 +152,7 @@ def test_terminal_log_price_moments():
     n_paths = 100_000
     inc = gen_increments(g, 0.0, seed=13, n_paths=n_paths)
     v = np.full((n_paths, 9), 0.2)
-    x = np.log(price_path(mkt, BlackScholes(sigma=0.2), g, v, inc.dW)[:, -1])
+    x = np.log(price_path(mkt, BlackScholes(sigma=0.2), g, v, inc.dW))
     mean_want = math.log(100.0) + (0.02 - 0.02) * 1.0
     var_want = 0.04
     assert abs(x.mean() - mean_want) < 3 * math.sqrt(var_want / n_paths)
@@ -216,7 +234,7 @@ def test_dv_alpharfsv_entry_value():
     z = np.zeros(1)
     b = PathBundle(
         inc=DriverIncrements(dW=z, dWt=z, dZ=z, rho=-0.05),
-        Y=np.zeros(2), V=np.array([0.62, 0.62]), S=np.full(2, 100.0),
+        Y=np.zeros(2), V=np.array([0.62, 0.62]), ST=np.array(100.0),
     )
     d = malliavin_dv(m, g, b)
     k = kernel_eval(m.kernel, 1.0, 0.0)

@@ -82,6 +82,8 @@ def test_fd_validation():
         fd_greek("delta", bs, mkt, OptionSpec(100.0, 2.0), GRID, 100, seed=0)
     with pytest.raises(ValueError):
         fd_greek("delta", bs, mkt, OPT, GRID, 1, seed=0)
+    with pytest.raises(ValueError, match="confidence"):
+        fd_greek("delta", bs, mkt, OPT, GRID, 100, seed=0, confidence=1.5)
     with pytest.raises(ValueError):
         fd_greek("delta", bs, mkt, OPT, GRID, 100, seed=0, bump=BumpSpec("r", 1e-3, True))
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from volterra_greeks import greeks, paths
 from volterra_greeks.kernel import KernelSpec, kernel_eval, kernel_variance
 from volterra_greeks.paths import (
     TimeGrid,
@@ -69,6 +70,31 @@ def test_substreams_are_batch_invariant():
     # different seeds differ
     other = gen_increments(g, rho=0.3, seed=43, n_paths=1)
     assert not np.array_equal(other.dW[0], full.dW[0])
+    # runs that straddle the 256-path blocks; estimator chunks hold whole blocks
+    assert greeks._CHUNK % paths._BLOCK == 0
+    big = gen_increments(g, rho=0.3, seed=42, n_paths=600)
+    assert np.array_equal(big.dW[:10], full.dW)
+    for start, n in ((250, 12), (511, 2), (255, 1), (256, 256)):
+        part = gen_increments(g, rho=0.3, seed=42, n_paths=n, start=start)
+        assert np.array_equal(part.dW, big.dW[start:start + n])
+        assert np.array_equal(part.dWt, big.dWt[start:start + n])
+    # a 600-path run rebuilt from three unaligned pieces
+    pieces = [gen_increments(g, rho=0.3, seed=42, n_paths=n, start=s) for s, n in ((0, 137), (137, 300), (437, 163))]
+    assert np.array_equal(np.concatenate([p.dW for p in pieces]), big.dW)
+    assert np.array_equal(np.concatenate([p.dWt for p in pieces]), big.dWt)
+
+
+def test_rng_stream_2_golden_values():
+    # path 300 is row 44 of block 1's (256, 2, n) draws; a change to these
+    # numbers is a new stream version (paths.RNG_STREAM)
+    assert paths.RNG_STREAM == 2
+    g = TimeGrid(T=1.0, n=4)  # sqrt(dt) = 0.5 scales exactly
+    inc = gen_increments(g, rho=0.0, seed=2024, n_paths=1, start=300)
+    assert inc.dW[0].tolist() == [-0.0029064215725905086, 0.36605455454625496, 0.7059736338675835, -0.39686665785051706]
+    assert inc.dWt[0].tolist() == [-0.45983908292340775, -0.2212784536426816, 0.40949554022858814, 0.03371916301071297]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2024, spawn_key=(1,))))
+    z = rng.standard_normal((256, 2, 4))
+    assert np.array_equal(inc.dW[0], 0.5 * z[44, 0]) and np.array_equal(inc.dWt[0], 0.5 * z[44, 1])
 
 
 def test_h_half_path_is_cumsum():

@@ -345,7 +345,7 @@ def test_delta_weight_unbiased_on_linear_payoff(model):
     b = make_bundle(model, mkt, grid, inc)
     w = weight_components(model, grid, b)
     pi = assemble_delta_weight(w)
-    x = math.exp(-0.05) * b.S[:, -1] * pi / 100.0
+    x = math.exp(-0.05) * b.ST * pi / 100.0
     x = x[~np.isnan(x)]
     assert x.size > n_paths * 0.9999
     se = x.std(ddof=1) / math.sqrt(x.size)
