@@ -1,11 +1,12 @@
 """Command-line surface: volterra-greeks <price|greek|converge>.
 
-Configuration is flat INI (key = value in named sections): [model] tag
-plus parameters, [market] s0/r, [option] k/t/payoff, [numerics]
-n_steps/n_paths/seed/confidence/epsilon/cell_integrated/workers,
-[task] kinds/variant/oracles/ns_schedule.  Output is CSV only, UTF-8,
-first line `# volterra-greeks v1 schema; rng stream 2` (paths.RNG_STREAM);
-plotting is left to external tools.
+Configuration is flat INI (key = value in named sections): [model] kind
+plus the model's dataclass fields (a kernel field reads h, or hp for the
+second kernel of the mixed model), [market] s0/r, [option] k/t/payoff,
+[numerics] n_steps/n_paths/seed/confidence/epsilon/workers, [task]
+kinds/variant/oracles/ns_schedule; any other key is a config error.
+Output is CSV only, UTF-8, first line `# volterra-greeks v1 schema; rng
+stream 2` (paths.RNG_STREAM); plotting is left to external tools.
 
 Exit statuses: 0 success, 2 config error (message carries the
 section.key field path), 3 unsupported kind-model combination,
@@ -15,12 +16,13 @@ section.key field path), 3 unsupported kind-model combination,
 from __future__ import annotations
 
 import argparse
+import configparser
 import csv
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence
 
 from .greeks import (
@@ -55,6 +57,15 @@ _GREEK_COLS = ["kind", "method", "variant", "value", "stderr", "ci_low", "ci_hig
                "n_paths", "n_discarded", "seed", "wallclock_ms", "agreement"]
 _CONVERGE_COLS = ["ns", "value", "ci_low", "ci_high"]
 _SENS_KINDS = ("delta", "gamma", "rho", "vega", "hsens")
+_MODELS = {
+    "alpharfsv": AlphaRFSV,
+    "mixed": MixedAlphaRFSV,
+    "rough_stein_stein": RoughSteinStein,
+    "alphasv": AlphaSV,
+    "stein_stein": SteinStein,
+    "black_scholes": BlackScholes,
+}
+_KERNEL_KEYS = {"kernel": "h", "kernel_h": "h", "kernel_hp": "hp"}  # KernelSpec field -> INI key of its H
 
 
 class ConfigError(Exception):
@@ -70,7 +81,6 @@ class RunConfig:
     n_paths: int
     seed: int
     confidence: float = 0.99
-    cell_integrated: bool = False
     workers: int = 1
     kinds: Sequence[str] = ()
     variant: str = "derived"
@@ -81,7 +91,16 @@ class RunConfig:
 _MISSING = object()
 
 
+class _Ini(configparser.ConfigParser):
+    """INI parser that records every section.key the loader reads."""
+
+    def __init__(self):
+        super().__init__(inline_comment_prefixes=("#", ";"))
+        self.seen = set()
+
+
 def _raw(cp, section, key, default=_MISSING):
+    cp.seen.add((section, key))
     if not cp.has_section(section):
         raise ConfigError(f"{section}: missing required section")
     if cp.has_option(section, key):
@@ -91,35 +110,16 @@ def _raw(cp, section, key, default=_MISSING):
     return default
 
 
-def _float(cp, section, key, default=_MISSING) -> float:
+def _number(cp, section, key, default=_MISSING, cast=float):
+    """The key's value converted by cast (float, or int for counts)."""
     raw = _raw(cp, section, key, default)
     if not isinstance(raw, str):
         return raw
     try:
-        return float(raw)
+        return cast(raw)
     except ValueError:
-        raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from None
-
-
-def _int(cp, section, key, default=_MISSING) -> int:
-    raw = _raw(cp, section, key, default)
-    if not isinstance(raw, str):
-        return raw
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected an integer, got {raw!r}") from None
-
-
-def _bool(cp, section, key, default=_MISSING) -> bool:
-    raw = _raw(cp, section, key, default)
-    if not isinstance(raw, str):
-        return raw
-    states = {"1": True, "yes": True, "true": True, "on": True,
-              "0": False, "no": False, "false": False, "off": False}
-    if raw.lower() not in states:
-        raise ConfigError(f"{section}.{key}: expected a boolean, got {raw!r}")
-    return states[raw.lower()]
+        what = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{section}.{key}: expected {what}, got {raw!r}") from None
 
 
 def _list(raw: str) -> List[str]:
@@ -128,95 +128,55 @@ def _list(raw: str) -> List[str]:
 
 def _load_model(cp, eps: float) -> ModelSpec:
     tag = _raw(cp, "model", "kind").strip().lower()
+    if tag not in _MODELS:
+        raise ConfigError(f"model.kind: expected one of {', '.join(_MODELS)}; got {tag!r}")
+    cls = _MODELS[tag]
     try:
-        if tag == "alpharfsv":
-            return AlphaRFSV(
-                v0=_float(cp, "model", "v0"),
-                xi=_float(cp, "model", "xi"),
-                alpha=_float(cp, "model", "alpha"),
-                rho=_float(cp, "model", "rho"),
-                kernel=KernelSpec(H=_float(cp, "model", "h"), eps=eps),
-            )
-        if tag == "mixed":
-            return MixedAlphaRFSV(
-                v0=_float(cp, "model", "v0"),
-                xi_h=_float(cp, "model", "xi_h"),
-                xi_hp=_float(cp, "model", "xi_hp"),
-                alpha=_float(cp, "model", "alpha"),
-                rho=_float(cp, "model", "rho"),
-                kernel_h=KernelSpec(H=_float(cp, "model", "h"), eps=eps),
-                kernel_hp=KernelSpec(H=_float(cp, "model", "hp"), eps=eps),
-            )
-        if tag == "rough_stein_stein":
-            return RoughSteinStein(
-                v0=_float(cp, "model", "v0"),
-                kappa=_float(cp, "model", "kappa"),
-                theta=_float(cp, "model", "theta"),
-                nu=_float(cp, "model", "nu"),
-                rho=_float(cp, "model", "rho"),
-                kernel=KernelSpec(H=_float(cp, "model", "h"), eps=eps),
-            )
-        if tag == "alphasv":
-            return AlphaSV(
-                v0=_float(cp, "model", "v0"),
-                xi=_float(cp, "model", "xi"),
-                alpha=_float(cp, "model", "alpha"),
-                rho=_float(cp, "model", "rho"),
-            )
-        if tag == "stein_stein":
-            return SteinStein(
-                v0=_float(cp, "model", "v0"),
-                kappa=_float(cp, "model", "kappa"),
-                theta=_float(cp, "model", "theta"),
-                nu=_float(cp, "model", "nu"),
-                rho=_float(cp, "model", "rho"),
-            )
-        if tag == "black_scholes":
-            return BlackScholes(sigma=_float(cp, "model", "sigma"))
+        kwargs = {
+            f.name: KernelSpec(H=_number(cp, "model", _KERNEL_KEYS[f.name]), eps=eps)
+            if f.name in _KERNEL_KEYS
+            else _number(cp, "model", f.name)
+            for f in fields(cls)
+        }
+        return cls(**kwargs)
     except ValueError as e:
         raise ConfigError(f"model: {e}") from None
-    raise ConfigError(
-        f"model.kind: expected one of alpharfsv, mixed, rough_stein_stein, "
-        f"alphasv, stein_stein, black_scholes; got {tag!r}"
-    )
 
 
 def load_config(path: str) -> RunConfig:
-    import configparser
-
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = _Ini()
     if not cp.read(path, encoding="utf-8"):
         raise ConfigError(f"config file not found or unreadable: {path}")
 
-    eps = _float(cp, "numerics", "epsilon", 1e-6)
+    eps = _number(cp, "numerics", "epsilon", 1e-6)
     if eps < 0.0:
         raise ConfigError(f"numerics.epsilon: must be >= 0, got {eps}")
     model = _load_model(cp, eps)
     try:
-        market = MarketSpec(s0=_float(cp, "market", "s0"), r=_float(cp, "market", "r", 0.0))
+        market = MarketSpec(s0=_number(cp, "market", "s0"), r=_number(cp, "market", "r", 0.0))
     except ValueError as e:
         raise ConfigError(f"market: {e}") from None
     try:
         option = OptionSpec(
-            strike=_float(cp, "option", "k"),
-            maturity=_float(cp, "option", "t"),
+            strike=_number(cp, "option", "k"),
+            maturity=_number(cp, "option", "t"),
             payoff=_raw(cp, "option", "payoff", "call").strip().lower(),
         )
     except ValueError as e:
         raise ConfigError(f"option: {e}") from None
 
-    n_steps = _int(cp, "numerics", "n_steps")
+    n_steps = _number(cp, "numerics", "n_steps", cast=int)
     if n_steps < 1:
         raise ConfigError(f"numerics.n_steps: must be >= 1, got {n_steps}")
     grid = TimeGrid(T=option.maturity, n=n_steps)
-    n_paths = _int(cp, "numerics", "n_paths")
+    n_paths = _number(cp, "numerics", "n_paths", cast=int)
     if n_paths < 2:
         raise ConfigError(f"numerics.n_paths: must be >= 2, got {n_paths}")
-    seed = _int(cp, "numerics", "seed")
-    confidence = _float(cp, "numerics", "confidence", 0.99)
+    seed = _number(cp, "numerics", "seed", cast=int)
+    confidence = _number(cp, "numerics", "confidence", 0.99)
     if not 0.0 < confidence < 1.0:
         raise ConfigError(f"numerics.confidence: must lie in (0, 1), got {confidence}")
-    workers = _int(cp, "numerics", "workers", 1)
+    workers = _number(cp, "numerics", "workers", 1, int)
     if workers < 1:
         raise ConfigError(f"numerics.workers: must be >= 1, got {workers}")
 
@@ -238,25 +198,17 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"task.ns_schedule: expected integers, got {ns_raw}") from None
     if ns_schedule and (ns_schedule[0] < 2 or any(b <= a for a, b in zip(ns_schedule, ns_schedule[1:]))):
         raise ConfigError(f"task.ns_schedule: must be strictly increasing with entries >= 2, got {list(ns_schedule)}")
+    for section in cp.sections():
+        for key in cp.options(section):
+            if (section, key) not in cp.seen:
+                raise ConfigError(f"{section}.{key}: unknown key")
 
     return RunConfig(
         model=model, market=market, option=option, grid=grid,
         n_paths=n_paths, seed=seed, confidence=confidence,
-        cell_integrated=_bool(cp, "numerics", "cell_integrated", False),
         workers=workers, kinds=kinds, variant=variant, oracles=oracles,
         ns_schedule=ns_schedule,
     )
-
-
-def _bs_equivalent_sigma(model: ModelSpec) -> Optional[float]:
-    """Constant vol when the model degenerates to Black-Scholes, else None."""
-    if isinstance(model, BlackScholes):
-        return model.sigma
-    if isinstance(model, AlphaRFSV) and model.xi == 0.0:
-        return model.v0
-    if isinstance(model, MixedAlphaRFSV) and model.xi_h == 0.0 and model.xi_hp == 0.0:
-        return model.v0
-    return None
 
 
 def _variant_of(kind: str, cfg: RunConfig) -> Optional[str]:
@@ -267,7 +219,7 @@ def cmd_price(cfg: RunConfig) -> tuple:
     t0 = time.perf_counter()
     est = estimate_many(
         [("price", None)], cfg.model, cfg.market, cfg.option, cfg.grid,
-        cfg.n_paths, cfg.seed, cfg.confidence, cfg.cell_integrated, cfg.workers,
+        cfg.n_paths, cfg.seed, cfg.confidence, cfg.workers,
     )[0]
     ms = int(round(1000.0 * (time.perf_counter() - t0)))
     row = [est.kind, est.value, est.stderr, est.ci_low, est.ci_high,
@@ -289,9 +241,9 @@ def cmd_greek(cfg: RunConfig) -> tuple:
     tasks = [(k, _variant_of(k, cfg)) for k in kinds]
     ests = estimate_many(
         tasks, cfg.model, cfg.market, cfg.option, cfg.grid,
-        cfg.n_paths, cfg.seed, cfg.confidence, cfg.cell_integrated, cfg.workers,
+        cfg.n_paths, cfg.seed, cfg.confidence, cfg.workers,
     )
-    sigma_bs = _bs_equivalent_sigma(cfg.model)
+    sigma_bs = cfg.model.bs_sigma()
     rows = []
     for est in ests:
         ms = int(round(1000.0 * (time.perf_counter() - t0)))
@@ -299,8 +251,7 @@ def cmd_greek(cfg: RunConfig) -> tuple:
         if "fd" in cfg.oracles:
             fd = fd_greek(
                 est.kind, cfg.model, cfg.market, cfg.option, cfg.grid,
-                cfg.n_paths, cfg.seed, confidence=cfg.confidence,
-                cell_integrated=cfg.cell_integrated, workers=cfg.workers,
+                cfg.n_paths, cfg.seed, confidence=cfg.confidence, workers=cfg.workers,
             )
             se = math.hypot(est.stderr, fd.stderr)
             agreement = abs(est.value - fd.value) / se if se > 0.0 else 0.0
@@ -327,7 +278,7 @@ def cmd_converge(cfg: RunConfig) -> tuple:
     kind = kinds[0]
     ests = converge(
         kind, cfg.model, cfg.market, cfg.option, cfg.grid, cfg.ns_schedule,
-        cfg.seed, cfg.confidence, _variant_of(kind, cfg), cfg.cell_integrated, cfg.workers,
+        cfg.seed, cfg.confidence, _variant_of(kind, cfg), cfg.workers,
     )
     rows = [[ns, e.value, e.ci_low, e.ci_high] for ns, e in zip(cfg.ns_schedule, ests)]
     return _CONVERGE_COLS, rows

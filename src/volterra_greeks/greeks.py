@@ -38,14 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.stats import norm
 
-from .models import (
-    BlackScholes,
-    MarketSpec,
-    ModelSpec,
-    PathBundle,
-    UnsupportedError,
-    make_bundle,
-)
+from .models import MarketSpec, ModelSpec, PathBundle, make_bundle
 from .paths import TimeGrid, gen_increments
 from .weights import (
     DEGENERATE_INTG,
@@ -117,10 +110,6 @@ def payoff(opt: OptionSpec, s_t):
     return out if out.ndim else float(out)
 
 
-def _rho_of(model: ModelSpec) -> float:
-    return 0.0 if isinstance(model, BlackScholes) else model.rho
-
-
 def _normalize_tasks(tasks) -> list:
     out = []
     for t in tasks:
@@ -175,11 +164,8 @@ def _task_samples(tasks, model, market, opt, grid, bundle: PathBundle):
                 x = disc * (market.r * opt.maturity * f * pi - f)
             else:
                 x = opt.maturity * disc * f * (pi - 1.0)
-        elif kind == "vega":
-            n_num, int_dn = assemble_vega_numerator(model, grid, bundle, "v0")
-            x = disc * f * assemble_theta_weight(n_num, int_dn, w)
-        elif kind == "hsens":
-            n_num, int_dn = assemble_vega_numerator(model, grid, bundle, "H")
+        else:  # vega and hsens: the theta weight for v0 and H
+            n_num, int_dn = assemble_vega_numerator(model, grid, bundle, "v0" if kind == "vega" else "H")
             x = disc * f * assemble_theta_weight(n_num, int_dn, w)
         out[(kind, variant)] = (x, valid)
     return out
@@ -194,13 +180,12 @@ def _run_chunks(n_paths: int, workers: int, fn):
     return [fn(*r) for r in ranges]
 
 
-def _all_task_samples(tasks, model, market, opt, grid, n_paths, seed, cell_integrated, workers):
+def _all_task_samples(tasks, model, market, opt, grid, n_paths, seed, workers):
     with_dh = any(k == "hsens" for k, _ in tasks)
-    rho = _rho_of(model)
 
     def chunk(start, stop):
-        inc = gen_increments(grid, rho, seed, stop - start, start)
-        bundle = make_bundle(model, market, grid, inc, with_dh=with_dh, cell_integrated=cell_integrated)
+        inc = gen_increments(grid, model.rho, seed, stop - start, start)
+        bundle = make_bundle(model, market, grid, inc, with_dh=with_dh)
         return _task_samples(tasks, model, market, opt, grid, bundle)
 
     chunks = _run_chunks(n_paths, workers, chunk)
@@ -251,7 +236,6 @@ def estimate_many(
     n_paths: int,
     seed: int,
     confidence: float = 0.99,
-    cell_integrated: bool = False,
     workers: int = 1,
 ) -> list:
     """Estimate several Greeks on common paths; one simulation pass.
@@ -261,7 +245,7 @@ def estimate_many(
     """
     tasks = _normalize_tasks(tasks)
     _validate_run(model, market, opt, grid, n_paths, confidence)
-    samples = _all_task_samples(tasks, model, market, opt, grid, n_paths, seed, cell_integrated, workers)
+    samples = _all_task_samples(tasks, model, market, opt, grid, n_paths, seed, workers)
     return [_reduce(k, v, *samples[(k, v)], confidence) for k, v in tasks]
 
 
@@ -275,12 +259,11 @@ def estimate(
     seed: int,
     confidence: float = 0.99,
     variant: Optional[str] = None,
-    cell_integrated: bool = False,
     workers: int = 1,
 ) -> GreekEstimate:
     """Monte-Carlo estimate of one Greek with a 2-sided normal CI."""
     return estimate_many(
-        [(kind, variant)], model, market, opt, grid, n_paths, seed, confidence, cell_integrated, workers
+        [(kind, variant)], model, market, opt, grid, n_paths, seed, confidence, workers
     )[0]
 
 
@@ -294,7 +277,6 @@ def converge(
     seed: int,
     confidence: float = 0.99,
     variant: Optional[str] = None,
-    cell_integrated: bool = False,
     workers: int = 1,
 ) -> list:
     """Nested-sample convergence trace: one estimate per schedule entry.
@@ -308,6 +290,6 @@ def converge(
         raise ValueError("ns_schedule must be strictly increasing with entries >= 2")
     tasks = _normalize_tasks([(kind, variant)])
     _validate_run(model, market, opt, grid, ns[-1], confidence)
-    samples = _all_task_samples(tasks, model, market, opt, grid, ns[-1], seed, cell_integrated, workers)
+    samples = _all_task_samples(tasks, model, market, opt, grid, ns[-1], seed, workers)
     x, valid = samples[tasks[0]]
     return [_reduce(tasks[0][0], tasks[0][1], x[:m], valid[:m], confidence) for m in ns]

@@ -1,4 +1,4 @@
-"""Stochastic-volatility model family, path construction and Malliavin grids.
+"""Stochastic-volatility models: each class carries its own path and Malliavin profiles.
 
 Every model writes the volatility factor V as a functional of the Volterra
 driver Y_t = int_0^t K(t, s) dZ_s and prices the asset by log-Euler:
@@ -19,9 +19,26 @@ Variants (sigma is the vol-of-spot map applied to V):
 * SteinStein       Ornstein-Uhlenbeck V by explicit Euler, sigma(x) = x.
 * BlackScholes     constant sigma; equals AlphaRFSV with xi = 0.
 
-The Malliavin derivative grids follow the same left-point convention as
-the weight quadratures: D[j][i] = D_{t_j} V_{t_i} is exactly zero for
-j >= i, so inner integrals never touch the kernel diagonal.
+Each class supplies everything the estimator needs to know about it, so
+no other module branches on the model type:
+
+* path(grid, inc)            V and its auxiliary driver paths;
+* weight_inputs / dh_inputs  per-chunk grid vectors (and the dY/dH path)
+                             that the profiles below read;
+* sigma_of(v)                the vol-of-spot map;
+* profiles(grid, bundle)     sigma(V), g1 = sigma'(V) IDV and
+                             g2 = sigma''(V) IDV^2 + sigma'(V) IDDV on cells
+                             0..n-1, where IDV_i = dt sum_{j<i} D_{t_j} V_{t_i}
+                             and IDDV_i = dt^2 sum_{s,t} D_{t_t} D_{t_s} V_{t_i};
+* triple_term(grid, bundle)  iiint D_w D_s G dw ds dt for the derived gamma;
+* dtheta(grid, bundle, p)    dV/dp and its inner integral dt sum_j D_{t_j};
+* rho                        correlation of the vol driver with the asset;
+* bs_sigma()                 the Black-Scholes vol of a degenerate model.
+
+The Malliavin derivatives follow the same left-point convention as the
+weight quadratures: D_{t_j} V_{t_i} is exactly zero for j >= i, so inner
+integrals never touch the kernel diagonal.  Members a model cannot
+supply raise UnsupportedError.
 """
 
 from __future__ import annotations
@@ -35,6 +52,7 @@ import numpy as np
 from .kernel import (
     KernelSpec,
     kernel_dh_matrix,
+    kernel_eval,
     kernel_kappa,
     kernel_matrix,
     kernel_variance,
@@ -53,17 +71,9 @@ __all__ = [
     "BlackScholes",
     "ModelSpec",
     "PathBundle",
-    "sigma_of",
-    "sigma_prime",
-    "sigma_second",
     "vol_path",
     "price_path",
     "make_bundle",
-    "malliavin_dv",
-    "malliavin_ddv",
-    "ddv_double_integral",
-    "idv_profile",
-    "dtheta_vol",
 ]
 
 
@@ -74,6 +84,30 @@ class UnsupportedError(ValueError):
 def _check_rho(rho: float) -> None:
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
+
+
+def _check_exponential(v0: float, alpha: float, rho: float, **xis: float) -> None:
+    if v0 <= 0.0:
+        raise ValueError(f"v0 must be > 0, got {v0}")
+    for name, xi in xis.items():
+        if xi < 0.0:
+            raise ValueError(f"{name} must be >= 0, got {xi}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_rho(rho)
+
+
+def _check_mean_reverting(kappa: float, nu: float, rho: float) -> None:
+    if kappa < 0.0:
+        raise ValueError(f"kappa must be >= 0, got {kappa}")
+    if nu < 0.0:
+        raise ValueError(f"nu must be >= 0, got {nu}")
+    _check_rho(rho)
+
+
+def _dot(a, b):
+    """Inner product over the last (time) axis, broadcasting the rest."""
+    return np.einsum("...i,...i->...", a, b)
 
 
 @dataclass(frozen=True)
@@ -88,9 +122,65 @@ class MarketSpec:
             raise ValueError(f"r must be >= 0, got {self.r}")
 
 
+@dataclass
+class PathBundle:
+    """Simulated paths plus the model's per-run grid vectors.
+
+    Path arrays have time as the last axis (length n+1 for paths, n for
+    increments) and may carry a leading path axis; ST is the terminal
+    asset value alone.  aux holds the model's auxiliary paths and the
+    vectors its weight_inputs/dh_inputs computed, by name.
+    """
+
+    inc: DriverIncrements
+    V: np.ndarray
+    ST: np.ndarray
+    aux: dict
+
+
+class _Model:
+    """Defaults of the model protocol; the subclasses override what they support."""
+
+    VOL_LEVEL = "v0"  # the field vega differentiates and the FD oracle bumps
+
+    def sigma_of(self, v):
+        return v
+
+    def weight_inputs(self, grid: TimeGrid, inc: DriverIncrements) -> dict:
+        return {}
+
+    def dh_inputs(self, grid: TimeGrid, inc: DriverIncrements) -> dict:
+        raise UnsupportedError(f"H-derivative paths are only defined for AlphaRFSV, got {type(self).__name__}")
+
+    def triple_term(self, grid: TimeGrid, b: PathBundle):
+        raise UnsupportedError(
+            f"re-derived Gamma needs the triple D_sG integral, not available for {type(self).__name__}"
+        )
+
+    def dtheta(self, grid: TimeGrid, b: PathBundle, which: str):
+        raise UnsupportedError(f"dV/dtheta is defined for AlphaRFSV and BlackScholes, got {type(self).__name__}")
+
+    def bs_sigma(self) -> Optional[float]:
+        return None
+
+
+def _exp_factor(v0, xi, alpha, kernel, grid, y):
+    rt = kernel_variance(kernel, grid.times)
+    return v0 * np.exp(xi * y - 0.5 * alpha * xi * xi * rt)
+
+
+def _kappa_hat(kernel: KernelSpec, grid: TimeGrid) -> np.ndarray:
+    """Left-point kernel row integrals dt * sum_{j<i} K(t_i, t_j)."""
+    return grid.dt * kernel_matrix(kernel, grid.times).sum(axis=1)
+
+
 @dataclass(frozen=True)
-class AlphaRFSV:
-    """Rough exponential volatility; xi = 0 degenerates to Black-Scholes."""
+class AlphaRFSV(_Model):
+    """Rough exponential volatility; xi = 0 degenerates to Black-Scholes.
+
+    D_{t_j} V_{t_i} = rho xi K(t_i, t_j) V_i, so with kappa_hat the kernel
+    row integrals IDV = rho xi kappa_hat V and IDDV = (rho xi kappa_hat)^2 V.
+    """
 
     v0: float
     xi: float
@@ -99,22 +189,65 @@ class AlphaRFSV:
     kernel: KernelSpec
 
     def __post_init__(self):
-        if self.v0 <= 0.0:
-            raise ValueError(f"v0 must be > 0, got {self.v0}")
-        if self.xi < 0.0:
-            raise ValueError(f"xi must be >= 0, got {self.xi}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        _check_rho(self.rho)
+        _check_exponential(self.v0, self.alpha, self.rho, xi=self.xi)
+
+    def path(self, grid, inc):
+        y = volterra_path(self.kernel, grid, inc).Y
+        return _exp_factor(self.v0, self.xi, self.alpha, self.kernel, grid, y), {"Y": y}
+
+    def weight_inputs(self, grid, inc):
+        return {"kappa_hat": _kappa_hat(self.kernel, grid)}
+
+    def dh_inputs(self, grid, inc):
+        return {
+            "dydh": volterra_dh_path(self.kernel, grid, inc),
+            "kappa_hat_dh": grid.dt * kernel_dh_matrix(self.kernel, grid.times).sum(axis=1),
+        }
+
+    def profiles(self, grid, b):
+        v = b.V[..., :-1]
+        rk = self.rho * self.xi * b.aux["kappa_hat"][:-1]
+        g1 = v * rk
+        return v, g1, g1 * rk
+
+    def triple_term(self, grid, b):
+        """3 dt sum V rk^2 + sum V rk^3 (dW - 4 V dt) with rk = rho xi kappa_hat."""
+        v = b.V[..., :-1]
+        rk = self.rho * self.xi * b.aux["kappa_hat"][:-1]
+        g3 = v * rk**3
+        return 3.0 * grid.dt * _dot(v, rk * rk) + _dot(g3, b.inc.dW) - 4.0 * grid.dt * _dot(g3, v)
+
+    def dtheta(self, grid, b, which):
+        """dV/dtheta for theta = v0 or H, and its inner integral.
+
+        D_t (dV/dtheta)_s = rho xi (dV/dtheta_s K(s,t) + [theta=H] V_s dK/dH(s,t)).
+        The H derivative V (xi dY/dH - alpha xi^2 dr/dH / 2) needs a bundle
+        built with with_dh=True.
+        """
+        rx = self.rho * self.xi
+        if which == "v0":
+            a = b.V / self.v0
+            return a, rx * a * b.aux["kappa_hat"]
+        if which == "H":
+            if "dydh" not in b.aux:
+                raise ValueError("bundle was built without with_dh=True")
+            rdh = kernel_variance_dh(self.kernel, grid.times)
+            a = b.V * (self.xi * b.aux["dydh"] - 0.5 * self.alpha * self.xi**2 * rdh)
+            return a, rx * (a * b.aux["kappa_hat"] + b.V * b.aux["kappa_hat_dh"])
+        raise ValueError(f"which must be 'v0' or 'H', got {which!r}")
+
+    def bs_sigma(self):
+        return self.v0 if self.xi == 0.0 else None
 
 
 @dataclass(frozen=True)
-class MixedAlphaRFSV:
+class MixedAlphaRFSV(_Model):
     """Average of a rough (H < 1/2) and a smooth (H' > 1/2) AlphaRFSV factor.
 
     Both factors share v0, alpha and the volatility driver dZ.  The H
     ordering is the intended regime but is not enforced, so that equal
-    kernels collapse the model onto plain AlphaRFSV.
+    kernels collapse the model onto plain AlphaRFSV.  IDV and IDDV are
+    the averages of the two factors' AlphaRFSV profiles.
     """
 
     v0: float
@@ -126,17 +259,54 @@ class MixedAlphaRFSV:
     kernel_hp: KernelSpec
 
     def __post_init__(self):
-        if self.v0 <= 0.0:
-            raise ValueError(f"v0 must be > 0, got {self.v0}")
-        if self.xi_h < 0.0 or self.xi_hp < 0.0:
-            raise ValueError("xi_h and xi_hp must be >= 0")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        _check_rho(self.rho)
+        _check_exponential(self.v0, self.alpha, self.rho, xi_h=self.xi_h, xi_hp=self.xi_hp)
+
+    def path(self, grid, inc):
+        y = volterra_path(self.kernel_h, grid, inc).Y
+        yp = volterra_path(self.kernel_hp, grid, inc).Y
+        vh = _exp_factor(self.v0, self.xi_h, self.alpha, self.kernel_h, grid, y)
+        vhp = _exp_factor(self.v0, self.xi_hp, self.alpha, self.kernel_hp, grid, yp)
+        return 0.5 * (vh + vhp), {"Y": y, "Yp": yp, "Vh": vh, "Vhp": vhp}
+
+    def weight_inputs(self, grid, inc):
+        return {"kappa_hat": _kappa_hat(self.kernel_h, grid), "kappa_hat_p": _kappa_hat(self.kernel_hp, grid)}
+
+    def profiles(self, grid, b):
+        rk = self.rho * self.xi_h * b.aux["kappa_hat"][:-1]
+        rkp = self.rho * self.xi_hp * b.aux["kappa_hat_p"][:-1]
+        gh, gp = b.aux["Vh"][..., :-1] * rk, b.aux["Vhp"][..., :-1] * rkp
+        return b.V[..., :-1], 0.5 * (gh + gp), 0.5 * (gh * rk + gp * rkp)
+
+    def bs_sigma(self):
+        return self.v0 if self.xi_h == 0.0 and self.xi_hp == 0.0 else None
+
+
+class _StaticDV(_Model):
+    """Models whose D V is path-independent and sigma(x) = x.
+
+    Then IDDV and the triple term vanish and IDV is a fixed vector.  On
+    the uniform grid D_{t_j} V_{t_i} depends on the lag i - j only, so
+    IDV_i = dt sum_{l=1}^{i} d_l with d the lag profile of _dv_lag.
+    """
+
+    def weight_inputs(self, grid, inc):
+        return {"idv": grid.dt * np.concatenate([[0.0], np.cumsum(self._dv_lag(grid)[1:])])}
+
+    def profiles(self, grid, b):
+        return b.V[..., :-1], b.aux["idv"][:-1], np.zeros(grid.n)
+
+    def triple_term(self, grid, b):
+        return np.zeros(b.V.shape[:-1])
+
+    def bs_sigma(self):
+        # with nu = 0, V reverts deterministically from v0 to theta: constant iff kappa = 0 or theta = v0
+        if self.nu == 0.0 and (self.kappa == 0.0 or self.theta == self.v0) and self.v0 > 0.0:
+            return self.v0
+        return None
 
 
 @dataclass(frozen=True)
-class RoughSteinStein:
+class RoughSteinStein(_StaticDV):
     """Mean-reverting Gaussian vol with Volterra noise, sigma(x) = x."""
 
     v0: float
@@ -147,16 +317,39 @@ class RoughSteinStein:
     kernel: KernelSpec
 
     def __post_init__(self):
-        if self.kappa < 0.0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if self.nu < 0.0:
-            raise ValueError(f"nu must be >= 0, got {self.nu}")
-        _check_rho(self.rho)
+        _check_mean_reverting(self.kappa, self.nu, self.rho)
+
+    def path(self, grid, inc):
+        """V_i = v0 + kappa sum_{j<i} (theta - V_j) dt + nu Y_i, left point."""
+        y = volterra_path(self.kernel, grid, inc).Y
+        v = np.empty_like(y)
+        v[..., 0] = self.v0
+        drift = np.zeros(y.shape[:-1])
+        for i in range(1, grid.n + 1):
+            drift += (self.theta - v[..., i - 1]) * grid.dt
+            v[..., i] = self.v0 + self.kappa * drift + self.nu * y[..., i]
+        return v, {"Y": y}
+
+    def _dv_lag(self, grid):
+        """d_l = rho nu (K(t_l, 0) - kappa I(l)), I(l) = int_0^{t_l} K(u, 0) e^{-kappa (t_l - u)} du."""
+        ker = self.kernel
+        if ker.H < 0.5 and ker.eps == 0.0:
+            raise ValueError("RoughSteinStein Malliavin profile requires eps > 0 when H < 1/2")
+        t = grid.times
+        # I by exact kernel cell masses against a trapezoidal exponential factor
+        e = np.exp(-self.kappa * t)
+        cells = np.convolve(np.diff(kernel_kappa(ker, t)), 0.5 * (e[:-1] + e[1:]))[: grid.n]
+        integ = np.concatenate([[0.0], cells])
+        return self.rho * self.nu * (kernel_eval(ker, t, 0.0) - self.kappa * integ)
 
 
 @dataclass(frozen=True)
-class AlphaSV:
-    """Exponential variance process on Brownian Z, sigma(x) = sqrt(x)."""
+class AlphaSV(_Model):
+    """Exponential variance process on Brownian Z, sigma(x) = sqrt(x).
+
+    IDV = rho xi t V and IDDV = (rho xi t)^2 V, so the chain rule gives
+    g1 = rho xi t sqrt(V) / 2 and g2 = (rho xi t)^2 sqrt(V) / 4.
+    """
 
     v0: float
     xi: float
@@ -164,17 +357,29 @@ class AlphaSV:
     rho: float
 
     def __post_init__(self):
-        if self.v0 <= 0.0:
-            raise ValueError(f"v0 must be > 0, got {self.v0}")
-        if self.xi < 0.0:
-            raise ValueError(f"xi must be >= 0, got {self.xi}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        _check_rho(self.rho)
+        _check_exponential(self.v0, self.alpha, self.rho, xi=self.xi)
+
+    def sigma_of(self, v):
+        return np.sqrt(v)
+
+    def path(self, grid, inc):
+        z = np.zeros(inc.dZ.shape[:-1] + (grid.n + 1,))
+        np.cumsum(inc.dZ, axis=-1, out=z[..., 1:])
+        v = self.v0 * np.exp(self.xi * z - 0.5 * self.alpha * self.xi**2 * grid.times)
+        return v, {"Y": z}
+
+    def profiles(self, grid, b):
+        s = np.sqrt(b.V[..., :-1])
+        rt = self.rho * self.xi * grid.times[:-1]
+        g1 = 0.5 * rt * s
+        return s, g1, 0.5 * rt * g1
+
+    def bs_sigma(self):
+        return math.sqrt(self.v0) if self.xi == 0.0 else None
 
 
 @dataclass(frozen=True)
-class SteinStein:
+class SteinStein(_StaticDV):
     """Ornstein-Uhlenbeck volatility, explicit Euler, sigma(x) = x."""
 
     v0: float
@@ -184,314 +389,68 @@ class SteinStein:
     rho: float
 
     def __post_init__(self):
-        if self.kappa < 0.0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if self.nu < 0.0:
-            raise ValueError(f"nu must be >= 0, got {self.nu}")
-        _check_rho(self.rho)
+        _check_mean_reverting(self.kappa, self.nu, self.rho)
+
+    def path(self, grid, inc):
+        dz = inc.dZ
+        v = np.empty(dz.shape[:-1] + (grid.n + 1,))
+        v[..., 0] = self.v0
+        for i in range(grid.n):
+            v[..., i + 1] = v[..., i] + self.kappa * (self.theta - v[..., i]) * grid.dt + self.nu * dz[..., i]
+        return v, {"Y": None}
+
+    def _dv_lag(self, grid):
+        return self.rho * self.nu * np.exp(-self.kappa * grid.times)
 
 
 @dataclass(frozen=True)
-class BlackScholes:
+class BlackScholes(_StaticDV):
+    """Constant volatility sigma; D V = 0."""
+
     sigma: float
+    rho = 0.0  # not a field: the vol driver plays no part
+    VOL_LEVEL = "sigma"
 
     def __post_init__(self):
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
+    def path(self, grid, inc):
+        return np.full(inc.dZ.shape[:-1] + (grid.n + 1,), self.sigma), {"Y": None}
+
+    def _dv_lag(self, grid):
+        return np.zeros(grid.n + 1)
+
+    def dtheta(self, grid, b, which):
+        if which != "v0":
+            raise UnsupportedError("BlackScholes has no H parameter")
+        return np.ones_like(b.V), np.zeros_like(b.V)
+
+    def bs_sigma(self):
+        return self.sigma
+
 
 ModelSpec = Union[AlphaRFSV, MixedAlphaRFSV, RoughSteinStein, AlphaSV, SteinStein, BlackScholes]
 
 
-@dataclass
-class PathBundle:
-    """Simulated paths plus cached per-run grid vectors.
-
-    Path arrays have time as the last axis (length n+1 for paths, n for
-    increments) and may carry a leading path axis; ST is the terminal
-    asset value alone.  kappa_hat holds the left-point kernel row integrals
-    dt * sum_{j<i} K(t_i, t_j) used by the weight formulas; idv_static the
-    deterministic dt * sum_{j<i} D[j][i] for the Stein-Stein models.
-    """
-
-    inc: DriverIncrements
-    Y: Optional[np.ndarray]
-    V: np.ndarray
-    ST: np.ndarray
-    yp: Optional[np.ndarray] = None
-    vh: Optional[np.ndarray] = None
-    vhp: Optional[np.ndarray] = None
-    dydh: Optional[np.ndarray] = None
-    kappa_hat: Optional[np.ndarray] = None
-    kappa_hat_p: Optional[np.ndarray] = None
-    kappa_hat_dh: Optional[np.ndarray] = None
-    idv_static: Optional[np.ndarray] = None
-
-
-def sigma_of(model: ModelSpec, v):
-    """Vol-of-spot map sigma applied to the volatility factor."""
-    if isinstance(model, AlphaSV):
-        return np.sqrt(v)
-    return v
-
-
-def sigma_prime(model: ModelSpec, v):
-    if isinstance(model, AlphaSV):
-        return 0.5 / np.sqrt(v)
-    return np.ones_like(v)
-
-
-def sigma_second(model: ModelSpec, v):
-    if isinstance(model, AlphaSV):
-        return -0.25 * v ** (-1.5)
-    return np.zeros_like(v)
-
-
-def _arfsv_factor(v0, xi, alpha, kernel, grid, y):
-    rt = kernel_variance(kernel, grid.times)
-    return v0 * np.exp(xi * y - 0.5 * alpha * xi * xi * rt)
-
-
-def _mean_revert(v0, kappa, theta, dt, y, nu):
-    """V_i = v0 + kappa sum_{j<i} (theta - V_j) dt + nu Y_i, left point."""
-    n = y.shape[-1] - 1
-    v = np.empty_like(y)
-    v[..., 0] = v0
-    drift = np.zeros(y.shape[:-1])
-    for i in range(1, n + 1):
-        drift += (theta - v[..., i - 1]) * dt
-        v[..., i] = v0 + kappa * drift + nu * y[..., i]
-    return v
-
-
-def vol_path(model: ModelSpec, grid: TimeGrid, inc: DriverIncrements, cell_integrated: bool = False):
+def vol_path(model: ModelSpec, grid: TimeGrid, inc: DriverIncrements):
     """Volatility factor path; returns (V, dict of auxiliary driver paths)."""
-    if isinstance(model, AlphaRFSV):
-        y = volterra_path(model.kernel, grid, inc, cell_integrated).Y
-        return _arfsv_factor(model.v0, model.xi, model.alpha, model.kernel, grid, y), {"Y": y}
-    if isinstance(model, MixedAlphaRFSV):
-        y = volterra_path(model.kernel_h, grid, inc, cell_integrated).Y
-        yp = volterra_path(model.kernel_hp, grid, inc, cell_integrated).Y
-        vh = _arfsv_factor(model.v0, model.xi_h, model.alpha, model.kernel_h, grid, y)
-        vhp = _arfsv_factor(model.v0, model.xi_hp, model.alpha, model.kernel_hp, grid, yp)
-        return 0.5 * (vh + vhp), {"Y": y, "Yp": yp, "Vh": vh, "Vhp": vhp}
-    if isinstance(model, RoughSteinStein):
-        y = volterra_path(model.kernel, grid, inc, cell_integrated).Y
-        return _mean_revert(model.v0, model.kappa, model.theta, grid.dt, y, model.nu), {"Y": y}
-    if isinstance(model, AlphaSV):
-        z = np.zeros(inc.dZ.shape[:-1] + (grid.n + 1,))
-        np.cumsum(inc.dZ, axis=-1, out=z[..., 1:])
-        v = model.v0 * np.exp(model.xi * z - 0.5 * model.alpha * model.xi**2 * grid.times)
-        return v, {"Y": z}
-    if isinstance(model, SteinStein):
-        dz = inc.dZ
-        v = np.empty(dz.shape[:-1] + (grid.n + 1,))
-        v[..., 0] = model.v0
-        for i in range(grid.n):
-            v[..., i + 1] = (
-                v[..., i] + model.kappa * (model.theta - v[..., i]) * grid.dt + model.nu * dz[..., i]
-            )
-        return v, {"Y": None}
-    if isinstance(model, BlackScholes):
-        shape = inc.dZ.shape[:-1] + (grid.n + 1,)
-        return np.full(shape, model.sigma), {"Y": None}
-    raise UnsupportedError(f"unknown model {type(model).__name__}")
+    return model.path(grid, inc)
 
 
 def price_path(market: MarketSpec, model: ModelSpec, grid: TimeGrid, v: np.ndarray, dw: np.ndarray) -> np.ndarray:
     """Log-Euler S_T = s0 exp(r T - dt/2 sum sigma_i^2 + sum sigma_i dW_i); shape v.shape[:-1]."""
-    sv = sigma_of(model, v[..., :-1])
-    ssq, cross = np.einsum("...i,...i->...", sv, sv), np.einsum("...i,...i->...", sv, dw)
-    return market.s0 * np.exp(market.r * grid.T - 0.5 * grid.dt * ssq + cross)
+    sv = model.sigma_of(v[..., :-1])
+    return market.s0 * np.exp(market.r * grid.T - 0.5 * grid.dt * _dot(sv, sv) + _dot(sv, dw))
 
 
 def make_bundle(
-    model: ModelSpec,
-    market: MarketSpec,
-    grid: TimeGrid,
-    inc: DriverIncrements,
-    with_dh: bool = False,
-    cell_integrated: bool = False,
+    model: ModelSpec, market: MarketSpec, grid: TimeGrid, inc: DriverIncrements, with_dh: bool = False
 ) -> PathBundle:
-    """Simulate all paths a Greek estimate needs and cache grid vectors."""
-    v, aux = vol_path(model, grid, inc, cell_integrated)
+    """Simulate all paths a Greek estimate needs and cache the model's grid vectors."""
+    v, aux = vol_path(model, grid, inc)
     st = price_path(market, model, grid, v, inc.dW)
-    b = PathBundle(inc=inc, Y=aux.get("Y"), V=v, ST=st, yp=aux.get("Yp"), vh=aux.get("Vh"), vhp=aux.get("Vhp"))
-    dt = grid.dt
-    if isinstance(model, AlphaRFSV):
-        b.kappa_hat = dt * kernel_matrix(model.kernel, grid.times).sum(axis=1)
-        if with_dh:
-            b.dydh = volterra_dh_path(model.kernel, grid, inc)
-            b.kappa_hat_dh = dt * kernel_dh_matrix(model.kernel, grid.times).sum(axis=1)
-    elif isinstance(model, MixedAlphaRFSV):
-        b.kappa_hat = dt * kernel_matrix(model.kernel_h, grid.times).sum(axis=1)
-        b.kappa_hat_p = dt * kernel_matrix(model.kernel_hp, grid.times).sum(axis=1)
-    elif isinstance(model, (RoughSteinStein, SteinStein)):
-        b.idv_static = dt * _dv_deterministic(model, grid).sum(axis=0)
-    if with_dh and not isinstance(model, AlphaRFSV):
-        raise UnsupportedError(f"H-derivative paths are only defined for AlphaRFSV, got {type(model).__name__}")
-    return b
-
-
-def _strict_lower(n: int) -> np.ndarray:
-    """Mask M[j, i] = True iff j < i, shape (n+1, n+1)."""
-    idx = np.arange(n + 1)
-    return idx[:, None] < idx[None, :]
-
-
-def _dv_deterministic(model: Union[RoughSteinStein, SteinStein], grid: TimeGrid) -> np.ndarray:
-    """Path-independent D grid for the Stein-Stein models."""
-    n = grid.n
-    t = grid.times
-    d = np.zeros((n + 1, n + 1))
-    mask = _strict_lower(n)
-    if isinstance(model, SteinStein):
-        lag = t[None, :] - t[:, None]
-        d[mask] = model.rho * model.nu * np.exp(-model.kappa * lag[mask])
-        return d
-    ker = model.kernel
-    if ker.H < 0.5 and ker.eps == 0.0:
-        raise ValueError("RoughSteinStein Malliavin grid requires eps > 0 when H < 1/2")
-    # I(d) = int_0^{t_d} K(u, 0) e^{-kappa (t_d - u)} du by exact kernel cell
-    # masses against a trapezoidal exponential factor; depends on the lag only.
-    kap = kernel_kappa(ker, t)
-    cm = kap[1:] - kap[:-1]  # cell masses, lag l -> [t_l, t_{l+1}]
-    e = np.exp(-model.kappa * t)
-    ebar = 0.5 * (e[:-1] + e[1:])
-    integ = np.concatenate([[0.0], np.convolve(cm, ebar)[:n]])
-    kmat = kernel_matrix(ker, t)
-    lag_idx = np.arange(n + 1)[None, :] - np.arange(n + 1)[:, None]
-    d = np.zeros((n + 1, n + 1))
-    jj, ii = np.nonzero(mask)
-    d[jj, ii] = model.rho * model.nu * (kmat[ii, jj] - model.kappa * integ[lag_idx[jj, ii]])
-    return d
-
-
-def malliavin_dv(model: ModelSpec, grid: TimeGrid, bundle: PathBundle) -> np.ndarray:
-    """Malliavin derivative grid D[j, i] = D_{t_j} V_{t_i} for one path.
-
-    Strictly lower-triangular in (j, i): entries with j >= i are exactly
-    zero, matching the left-point quadratures that consume the grid.
-    """
-    if bundle.V.ndim != 1:
-        raise ValueError("malliavin_dv expects a single-path bundle")
-    n = grid.n
-    mask = _strict_lower(n)
-    if isinstance(model, BlackScholes):
-        return np.zeros((n + 1, n + 1))
-    if isinstance(model, (RoughSteinStein, SteinStein)):
-        return _dv_deterministic(model, grid)
-    if isinstance(model, AlphaSV):
-        return np.where(mask, model.rho * model.xi * bundle.V[None, :], 0.0)
-    if isinstance(model, AlphaRFSV):
-        kmat = kernel_matrix(model.kernel, grid.times)
-        d = np.zeros((n + 1, n + 1))
-        d[:n, :] = model.rho * model.xi * kmat.T * bundle.V[None, :]
-        return d
-    if isinstance(model, MixedAlphaRFSV):
-        kh = kernel_matrix(model.kernel_h, grid.times)
-        khp = kernel_matrix(model.kernel_hp, grid.times)
-        d = np.zeros((n + 1, n + 1))
-        d[:n, :] = (
-            0.5
-            * model.rho
-            * (model.xi_h * kh.T * bundle.vh[None, :] + model.xi_hp * khp.T * bundle.vhp[None, :])
-        )
-        return d
-    raise UnsupportedError(f"no Malliavin grid for {type(model).__name__}")
-
-
-def malliavin_ddv(model: ModelSpec, grid: TimeGrid, bundle: PathBundle, s: int, t: int) -> np.ndarray:
-    """Second derivative path r -> D_{t_t} D_{t_s} V_{t_r}, zero for r <= max(s, t).
-
-    Symmetric in (s, t).  Identically zero for the Stein-Stein models
-    (their first derivative is deterministic) and for Black-Scholes.
-    """
-    if bundle.V.ndim != 1:
-        raise ValueError("malliavin_ddv expects a single-path bundle")
-    n = grid.n
-    out = np.zeros(n + 1)
-    lo = max(s, t)
-    if isinstance(model, (BlackScholes, RoughSteinStein, SteinStein)):
-        return out
-    rr = np.arange(lo + 1, n + 1)
-    if rr.size == 0:
-        return out
-    if isinstance(model, AlphaSV):
-        out[rr] = model.rho**2 * model.xi**2 * bundle.V[rr]
-        return out
-    if isinstance(model, AlphaRFSV):
-        kmat = kernel_matrix(model.kernel, grid.times)
-        out[rr] = model.rho**2 * model.xi**2 * kmat[rr, s] * kmat[rr, t] * bundle.V[rr]
-        return out
-    if isinstance(model, MixedAlphaRFSV):
-        kh = kernel_matrix(model.kernel_h, grid.times)
-        khp = kernel_matrix(model.kernel_hp, grid.times)
-        out[rr] = (
-            0.5
-            * model.rho**2
-            * (
-                model.xi_h**2 * kh[rr, s] * kh[rr, t] * bundle.vh[rr]
-                + model.xi_hp**2 * khp[rr, s] * khp[rr, t] * bundle.vhp[rr]
-            )
-        )
-        return out
-    raise UnsupportedError(f"no second Malliavin derivative for {type(model).__name__}")
-
-
-def idv_profile(model: ModelSpec, grid: TimeGrid, bundle: PathBundle) -> np.ndarray:
-    """Inner integral IDV_i = dt * sum_{j<i} D[j, i], vectorised over paths."""
-    if isinstance(model, BlackScholes):
-        return np.zeros_like(bundle.V)
-    if isinstance(model, AlphaRFSV):
-        return model.rho * model.xi * bundle.V * bundle.kappa_hat
-    if isinstance(model, MixedAlphaRFSV):
-        return 0.5 * model.rho * (
-            model.xi_h * bundle.vh * bundle.kappa_hat + model.xi_hp * bundle.vhp * bundle.kappa_hat_p
-        )
-    if isinstance(model, AlphaSV):
-        return model.rho * model.xi * bundle.V * grid.times
-    if isinstance(model, (RoughSteinStein, SteinStein)):
-        return np.broadcast_to(bundle.idv_static, bundle.V.shape)
-    raise UnsupportedError(f"no Malliavin grid for {type(model).__name__}")
-
-
-def ddv_double_integral(model: ModelSpec, grid: TimeGrid, bundle: PathBundle) -> np.ndarray:
-    """IDDV_i = dt^2 * sum_{s,t} D_t D_s V_{t_i}, vectorised over paths."""
-    if isinstance(model, (BlackScholes, RoughSteinStein, SteinStein)):
-        return np.zeros_like(bundle.V)
-    if isinstance(model, AlphaRFSV):
-        return (model.rho * model.xi * bundle.kappa_hat) ** 2 * bundle.V
-    if isinstance(model, MixedAlphaRFSV):
-        return 0.5 * model.rho**2 * (
-            model.xi_h**2 * bundle.vh * bundle.kappa_hat**2
-            + model.xi_hp**2 * bundle.vhp * bundle.kappa_hat_p**2
-        )
-    if isinstance(model, AlphaSV):
-        return (model.rho * model.xi * grid.times) ** 2 * bundle.V
-    raise UnsupportedError(f"no second Malliavin derivative for {type(model).__name__}")
-
-
-def dtheta_vol(model: ModelSpec, grid: TimeGrid, bundle: PathBundle, which: str) -> np.ndarray:
-    """Pathwise parameter derivative of V for theta-style weights.
-
-    which = "v0": dV/dv0 = V / v0.
-    which = "H":  dV/dH = V * (xi * dY/dH - alpha xi^2 dr/dH(t) / 2),
-    requiring the bundle to carry the dY/dH convolution.  Only the
-    AlphaRFSV family (including its Black-Scholes degeneration) supports
-    these derivatives.
-    """
-    if isinstance(model, BlackScholes):
-        if which == "v0":
-            return np.ones_like(bundle.V)
-        raise UnsupportedError("BlackScholes has no H parameter")
-    if not isinstance(model, AlphaRFSV):
-        raise UnsupportedError(f"dtheta_vol supports the AlphaRFSV family, got {type(model).__name__}")
-    if which == "v0":
-        return bundle.V / model.v0
-    if which == "H":
-        if bundle.dydh is None:
-            raise ValueError("bundle was built without with_dh=True")
-        rdh = kernel_variance_dh(model.kernel, grid.times)
-        return bundle.V * (model.xi * bundle.dydh - 0.5 * model.alpha * model.xi**2 * rdh)
-    raise ValueError(f"which must be 'v0' or 'H', got {which!r}")
+    aux.update(model.weight_inputs(grid, inc))
+    if with_dh:
+        aux.update(model.dh_inputs(grid, inc))
+    return PathBundle(inc=inc, V=v, ST=st, aux=aux)

@@ -21,17 +21,8 @@ from typing import Optional
 import numpy as np
 from scipy.stats import norm
 
-from .greeks import GreekEstimate, OptionSpec, _reduce, _rho_of, _run_chunks, _validate_run, payoff
-from .models import (
-    AlphaRFSV,
-    BlackScholes,
-    MarketSpec,
-    ModelSpec,
-    RoughSteinStein,
-    UnsupportedError,
-    price_path,
-    vol_path,
-)
+from .greeks import GreekEstimate, OptionSpec, _reduce, _run_chunks, _validate_run, payoff
+from .models import MarketSpec, ModelSpec, UnsupportedError, price_path, vol_path
 from .paths import TimeGrid, gen_increments
 
 __all__ = ["BsGreeks", "bs_price_greeks", "BumpSpec", "default_bump", "fd_greek"]
@@ -108,26 +99,20 @@ def default_bump(parameter: str) -> BumpSpec:
 
 
 def _base_value(model: ModelSpec, market: MarketSpec, parameter: str) -> float:
-    if parameter == "s0":
-        return market.s0
-    if parameter == "r":
-        return market.r
+    if parameter in ("s0", "r"):
+        return getattr(market, parameter)
     if parameter == "v0":
-        return model.sigma if isinstance(model, BlackScholes) else model.v0
-    if isinstance(model, (AlphaRFSV, RoughSteinStein)):
-        return model.kernel.H
-    raise UnsupportedError(f"{type(model).__name__} has no Hurst parameter to bump")
+        return getattr(model, model.VOL_LEVEL)
+    if not hasattr(model, "kernel"):
+        raise UnsupportedError(f"{type(model).__name__} has no Hurst parameter to bump")
+    return model.kernel.H
 
 
 def _apply_bump(model: ModelSpec, market: MarketSpec, parameter: str, value: float):
-    if parameter == "s0":
-        return model, replace(market, s0=value)
-    if parameter == "r":
-        return model, replace(market, r=value)
+    if parameter in ("s0", "r"):
+        return model, replace(market, **{parameter: value})
     if parameter == "v0":
-        if isinstance(model, BlackScholes):
-            return replace(model, sigma=value), market
-        return replace(model, v0=value), market
+        return replace(model, **{model.VOL_LEVEL: value}), market
     return replace(model, kernel=replace(model.kernel, H=value)), market
 
 
@@ -141,7 +126,6 @@ def fd_greek(
     seed: int,
     bump: Optional[BumpSpec] = None,
     confidence: float = 0.99,
-    cell_integrated: bool = False,
     crn: bool = True,
     workers: int = 1,
 ) -> GreekEstimate:
@@ -172,21 +156,20 @@ def fd_greek(
     else:
         values = (base + h, base - h)
     setups = [_apply_bump(model, market, parameter, x) for x in values]
-    rho = _rho_of(model)
     disc = [math.exp(-mk.r * opt.maturity) for _, mk in setups]
 
     def one(md, mk, inc):
-        v, _ = vol_path(md, grid, inc, cell_integrated)
+        v, _ = vol_path(md, grid, inc)
         return payoff(opt, price_path(mk, md, grid, v, inc.dW))
 
     def chunk(start, stop):
         m = stop - start
         if crn:
-            inc = gen_increments(grid, rho, seed, m, start)
+            inc = gen_increments(grid, model.rho, seed, m, start)
             prices = [d * one(md, mk, inc) for d, (md, mk) in zip(disc, setups)]
         else:
             prices = [
-                d * one(md, mk, gen_increments(grid, rho, seed, m, k * n_paths + start))
+                d * one(md, mk, gen_increments(grid, model.rho, seed, m, k * n_paths + start))
                 for k, (d, (md, mk)) in enumerate(zip(disc, setups))
             ]
         if kind == "gamma":

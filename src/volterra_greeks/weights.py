@@ -19,10 +19,15 @@ where intDN = int_0^T D_t N dt.
 
 Discretisation convention: every stochastic integral is a left-point
 (Ito) sum and every time integral a left-point rectangle sum over cells
-0..n-1, with the Malliavin grids strictly lower-triangular.  Under this
-convention the AlphaRFSV closed forms below and the generic quadratures
-agree exactly up to floating-point rounding, which the test-suite checks
-at relative 1e-8 over random parameter draws.
+0..n-1, with the Malliavin derivatives strictly lower-triangular.  Under
+this convention Fubini reduces both statistics, for every model, to one
+quadrature over the model's chain-rule profiles (models.py) g1 and g2:
+
+    intG    = dt sum sigma + <g1, dW> - dt <g1, sigma>
+    iintDsG = 2 dt sum g1 + <g2, dW> - dt <g2, sigma> - dt <g1, g1>
+
+The test-suite checks this against O(n^2)/O(n^3) brute-force sums over
+the full Malliavin grids.
 
 All functions broadcast over a leading path axis.
 """
@@ -30,33 +35,17 @@ All functions broadcast over a leading path axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .models import (
-    AlphaRFSV,
-    BlackScholes,
-    ModelSpec,
-    PathBundle,
-    UnsupportedError,
-    ddv_double_integral,
-    dtheta_vol,
-    idv_profile,
-    sigma_of,
-    sigma_prime,
-    sigma_second,
-)
+from .models import ModelSpec, PathBundle, _dot
 from .paths import TimeGrid
 
 __all__ = [
     "DEGENERATE_INTG",
     "DegenerateWeightError",
     "WeightComponents",
-    "compute_intG_alpharfsv",
-    "compute_iintDsG_alpharfsv",
-    "compute_intG_generic",
-    "compute_iintDsG_generic",
     "weight_components",
     "assemble_delta_weight",
     "assemble_vega_numerator",
@@ -80,126 +69,17 @@ class WeightComponents:
     WT: Union[float, np.ndarray]
 
 
-def _wt(bundle: PathBundle):
-    return bundle.inc.dW.sum(axis=-1)
-
-
-def compute_intG_alpharfsv(model: AlphaRFSV, grid: TimeGrid, bundle: PathBundle):
-    """Closed form of intG for AlphaRFSV:
-
-    sum_i V_i dt + rho xi (sum_i V_i kappa_i dW_i - sum_i V_i^2 kappa_i dt)
-
-    with kappa_i the discrete left-point kernel row integral.
-    """
-    if not isinstance(model, AlphaRFSV):
-        raise UnsupportedError("closed form requires an AlphaRFSV model")
-    dt = grid.dt
-    v = bundle.V[..., :-1]
-    kap = bundle.kappa_hat[:-1]
-    base = dt * v.sum(axis=-1)
-    cross = (v * kap * bundle.inc.dW).sum(axis=-1) - dt * (v * v * kap).sum(axis=-1)
-    return base + model.rho * model.xi * cross
-
-
-def compute_iintDsG_alpharfsv(model: AlphaRFSV, grid: TimeGrid, bundle: PathBundle):
-    """Closed form of iintDsG for AlphaRFSV:
-
-    2 rho xi sum V_i kappa_i dt
-    + rho^2 xi^2 (sum V_i kappa_i^2 dW_i - 2 sum V_i^2 kappa_i^2 dt).
-    """
-    if not isinstance(model, AlphaRFSV):
-        raise UnsupportedError("closed form requires an AlphaRFSV model")
-    dt = grid.dt
-    v = bundle.V[..., :-1]
-    kap = bundle.kappa_hat[:-1]
-    rx = model.rho * model.xi
-    lead = 2.0 * rx * dt * (v * kap).sum(axis=-1)
-    tail = (v * kap * kap * bundle.inc.dW).sum(axis=-1) - 2.0 * dt * (v * v * kap * kap).sum(axis=-1)
-    return lead + rx * rx * tail
-
-
-def _intg_from_idv(model, grid, v, dw, idv):
-    dt = grid.dt
-    vv = v[..., :-1]
-    ii = idv[..., :-1]
-    sig = sigma_of(model, vv)
-    sp = sigma_prime(model, vv)
-    return dt * sig.sum(axis=-1) + (sp * ii * dw).sum(axis=-1) - dt * (sig * sp * ii).sum(axis=-1)
-
-
-def _iintdsg_from_idv(model, grid, v, dw, idv, iddv):
-    dt = grid.dt
-    vv = v[..., :-1]
-    ii = idv[..., :-1]
-    dd = iddv[..., :-1]
-    sig = sigma_of(model, vv)
-    sp = sigma_prime(model, vv)
-    spp = sigma_second(model, vv)
-    lead = 2.0 * dt * (sp * ii).sum(axis=-1)
-    stoch = ((spp * ii * ii + sp * dd) * dw).sum(axis=-1)
-    drift = dt * (((sp * sp + spp * sig) * ii * ii) + sp * sig * dd).sum(axis=-1)
-    return lead + stoch - drift
-
-
-def compute_intG_generic(model: ModelSpec, grid: TimeGrid, bundle: PathBundle, dv: np.ndarray):
-    """intG by left-point quadrature of the G formula, driven by a D grid.
-
-    dv is the (n+1, n+1) Malliavin grid of a single path; the inner
-    integral int_0^s D_t V_s dt is its column sum times dt.
-    """
-    if bundle.V.ndim != 1:
-        raise ValueError("compute_intG_generic expects a single-path bundle")
-    idv = grid.dt * dv.sum(axis=0)
-    return float(_intg_from_idv(model, grid, bundle.V, bundle.inc.dW, idv))
-
-
-def compute_iintDsG_generic(
-    model: ModelSpec,
-    grid: TimeGrid,
-    bundle: PathBundle,
-    dv: np.ndarray,
-    iddv: Optional[np.ndarray] = None,
-):
-    """iint D_s G(t, T) ds dt by double left-point quadrature.
-
-    The six-term integrand is summed in Fubini form: with
-    IDV_u = dt sum_{j<u} D[j][u] and IDDV_u = dt^2 sum_{s,t} DD[s][t][u],
-
-      2 dt sum_u sigma'(V_u) IDV_u
-      + sum_u (sigma''(V_u) IDV_u^2 + sigma'(V_u) IDDV_u) dW_u
-      - dt sum_u ((sigma'^2 + sigma'' sigma)(V_u) IDV_u^2
-                  + (sigma' sigma)(V_u) IDDV_u),
-
-    which reassociates the literal double sum exactly.  iddv defaults to
-    the model's closed-form double integral of the second derivative.
-    """
-    if bundle.V.ndim != 1:
-        raise ValueError("compute_iintDsG_generic expects a single-path bundle")
-    idv = grid.dt * dv.sum(axis=0)
-    if iddv is None:
-        iddv = ddv_double_integral(model, grid, bundle)
-    return float(_iintdsg_from_idv(model, grid, bundle.V, bundle.inc.dW, idv, iddv))
-
-
 def weight_components(model: ModelSpec, grid: TimeGrid, bundle: PathBundle) -> WeightComponents:
-    """intG, iintDsG and W_T for every path in the bundle.
-
-    AlphaRFSV uses the closed forms; every other model the generic
-    quadrature driven by its inner-integral profile.
-    """
-    if isinstance(model, AlphaRFSV):
-        ig = compute_intG_alpharfsv(model, grid, bundle)
-        dg = compute_iintDsG_alpharfsv(model, grid, bundle)
-    else:
-        idv = idv_profile(model, grid, bundle)
-        iddv = ddv_double_integral(model, grid, bundle)
-        ig = _intg_from_idv(model, grid, bundle.V, bundle.inc.dW, idv)
-        dg = _iintdsg_from_idv(model, grid, bundle.V, bundle.inc.dW, idv, iddv)
-    return WeightComponents(intG=ig, iintDsG=dg, WT=_wt(bundle))
+    """intG, iintDsG and W_T for every path in the bundle."""
+    dt, dw = grid.dt, bundle.inc.dW
+    sig, g1, g2 = model.profiles(grid, bundle)
+    ig = dt * sig.sum(axis=-1) + _dot(g1, dw) - dt * _dot(g1, sig)
+    dg = 2.0 * dt * g1.sum(axis=-1) + _dot(g2, dw) - dt * _dot(g2, sig) - dt * _dot(g1, g1)
+    return WeightComponents(intG=ig, iintDsG=dg, WT=dw.sum(axis=-1))
 
 
-def assemble_delta_weight(w: WeightComponents):
-    """Delta weight W_T / intG + iintDsG / intG^2.
+def _over_intg(w: WeightComponents, first, second):
+    """first / intG + second / intG^2, degenerate |intG| handled.
 
     Scalar components raise DegenerateWeightError when |intG| is below
     the discard threshold; array components return NaN on such paths so
@@ -207,84 +87,47 @@ def assemble_delta_weight(w: WeightComponents):
     """
     ig = np.asarray(w.intG, dtype=float)
     bad = np.abs(ig) < DEGENERATE_INTG
-    if ig.ndim == 0:
-        if bad:
-            raise DegenerateWeightError(f"|intG| = {abs(float(ig)):.3e} below {DEGENERATE_INTG}")
-        return float(w.WT / ig + w.iintDsG / ig**2)
+    if ig.ndim == 0 and bad:
+        raise DegenerateWeightError(f"|intG| = {abs(float(ig)):.3e} below {DEGENERATE_INTG}")
     safe = np.where(bad, 1.0, ig)
-    out = w.WT / safe + w.iintDsG / safe**2
-    return np.where(bad, np.nan, out)
+    out = np.where(bad, np.nan, first / safe + second / safe**2)
+    return out if out.ndim else float(out)
+
+
+def assemble_delta_weight(w: WeightComponents):
+    """Delta weight W_T / intG + iintDsG / intG^2."""
+    return _over_intg(w, w.WT, w.iintDsG)
 
 
 def assemble_vega_numerator(model: ModelSpec, grid: TimeGrid, bundle: PathBundle, which: str):
-    """Numerator statistics (N, intDN) for the theta weight.
+    """Numerator statistics (N, intDN) for the theta weight, theta = v0 or H.
 
     N = sum_i b_i dt + sum_i a_i dW_i with a = d_theta V (sigma(x) = x on
-    this family) and b = -V a.  intDN applies the product rule to the
-    AlphaRFSV closed forms:
+    the models that supply dtheta) and b = -V a.  By the product rule
+    D_t b_s = -(D_t V_s a_s + V_s D_t a_s), so with IDa the inner integral
+    of D a (from the model) and IDV = g1
 
-      D_t a_s = rho xi (a_s K(s,t) + [which=H] V_s dK/dH(s,t)),
-      D_t b_s = -(rho xi V_s K(s,t) a_s + V_s D_t a_s),
-
-    integrated with the same left-point convention.
+      intDN = dt sum a + sum IDa dW - dt sum (IDV a + V IDa).
     """
     dt = grid.dt
-    a = dtheta_vol(model, grid, bundle, which)
-    v = bundle.V
-    dw = bundle.inc.dW
-    an, vn = a[..., :-1], v[..., :-1]
-    n_num = -dt * (vn * an).sum(axis=-1) + (an * dw).sum(axis=-1)
-    if isinstance(model, BlackScholes):
-        dta = np.zeros_like(an)
-        dtb = np.zeros_like(an)
-    else:
-        rx = model.rho * model.xi
-        kap = bundle.kappa_hat[:-1]
-        if which == "H":
-            dta = rx * (an * kap + vn * bundle.kappa_hat_dh[:-1])
-        else:
-            dta = rx * an * kap
-        dtb = -(rx * vn * kap * an + vn * dta)
-    int_dn = dt * an.sum(axis=-1) + (dta * dw).sum(axis=-1) + dt * dtb.sum(axis=-1)
+    a, ida = model.dtheta(grid, bundle, which)
+    v, idv = model.profiles(grid, bundle)[:2]
+    an, dan, dw = a[..., :-1], ida[..., :-1], bundle.inc.dW
+    n_num = -dt * (v * an).sum(axis=-1) + (an * dw).sum(axis=-1)
+    int_dn = dt * an.sum(axis=-1) + _dot(dan, dw) - dt * (_dot(idv, an) + _dot(v, dan))
     return n_num, int_dn
 
 
 def assemble_theta_weight(n_num, int_dn, w: WeightComponents):
     """Theta weight (N W_T - intDN) / intG + N iintDsG / intG^2."""
-    ig = np.asarray(w.intG, dtype=float)
-    bad = np.abs(ig) < DEGENERATE_INTG
-    if ig.ndim == 0:
-        if bad:
-            raise DegenerateWeightError(f"|intG| = {abs(float(ig)):.3e} below {DEGENERATE_INTG}")
-        return float((n_num * w.WT - int_dn) / ig + n_num * w.iintDsG / ig**2)
-    safe = np.where(bad, 1.0, ig)
-    out = (n_num * w.WT - int_dn) / safe + n_num * w.iintDsG / safe**2
-    return np.where(bad, np.nan, out)
+    return _over_intg(w, n_num * w.WT - int_dn, n_num * w.iintDsG)
 
 
 def triple_ddg_integral(model: ModelSpec, grid: TimeGrid, bundle: PathBundle):
     """iiint D_w D_s G(t, T) dw ds dt, needed by the re-derived Gamma weight.
 
     Zero whenever the first Malliavin derivative of V is deterministic
-    (Black-Scholes, both Stein-Stein models).  For AlphaRFSV the same
-    Fubini reduction that yields the iintDsG closed form gives
-
-      3 rho^2 xi^2 sum V_i kappa_i^2 dt
-      + rho^3 xi^3 (sum V_i kappa_i^3 dW_i - 4 sum V_i^2 kappa_i^3 dt).
+    (Black-Scholes, both Stein-Stein models); AlphaRFSV has a closed
+    form; the other models raise UnsupportedError.
     """
-    from .models import RoughSteinStein, SteinStein  # local to avoid cycle noise
-
-    if isinstance(model, (BlackScholes, SteinStein, RoughSteinStein)):
-        return np.zeros(bundle.V.shape[:-1])
-    if isinstance(model, AlphaRFSV):
-        dt = grid.dt
-        v = bundle.V[..., :-1]
-        k2 = bundle.kappa_hat[:-1] ** 2
-        k3 = bundle.kappa_hat[:-1] ** 3
-        rx = model.rho * model.xi
-        return 3.0 * rx * rx * dt * (v * k2).sum(axis=-1) + rx**3 * (
-            (v * k3 * bundle.inc.dW).sum(axis=-1) - 4.0 * dt * (v * v * k3).sum(axis=-1)
-        )
-    raise UnsupportedError(
-        f"re-derived Gamma needs the triple D_sG integral, not available for {type(model).__name__}"
-    )
+    return model.triple_term(grid, bundle)

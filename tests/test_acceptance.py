@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from brute_force import compute_iintDsG_generic, compute_intG_generic, malliavin_dv
 from volterra_greeks.greeks import OptionSpec, converge, estimate, estimate_many
 from volterra_greeks.kernel import KernelSpec, kernel_eval, kernel_kappa, kernel_variance
 from volterra_greeks.models import (
@@ -20,18 +21,11 @@ from volterra_greeks.models import (
     RoughSteinStein,
     SteinStein,
     make_bundle,
-    malliavin_dv,
     vol_path,
 )
 from volterra_greeks.oracles import bs_price_greeks, fd_greek
 from volterra_greeks.paths import TimeGrid, gen_increments
-from volterra_greeks.weights import (
-    compute_iintDsG_alpharfsv,
-    compute_iintDsG_generic,
-    compute_intG_alpharfsv,
-    compute_intG_generic,
-    weight_components,
-)
+from volterra_greeks.weights import weight_components
 
 OPT = OptionSpec(strike=100.0, maturity=1.0)
 G64 = TimeGrid(T=1.0, n=64)
@@ -94,7 +88,9 @@ def test_criterion_2_convergence_trace_and_fd_agreement():
 
 
 def test_criterion_3_closed_form_generic_equivalence():
-    # 100 random parameter draws on shared paths, relative 1e-8
+    # 100 random parameter draws on shared paths, relative 1e-8: the
+    # profile quadrature of weight_components against the brute-force
+    # left-point sums over the full Malliavin grids
     t0 = time.perf_counter()
     rng = np.random.default_rng(99)
     grid = TimeGrid(T=1.0, n=32)
@@ -113,9 +109,10 @@ def test_criterion_3_closed_form_generic_equivalence():
         one = DriverIncrements(dW=inc.dW[0], dWt=inc.dWt[0], dZ=inc.dZ[0], rho=inc.rho)
         b = make_bundle(model, BS_MKT, grid, one)
         d = malliavin_dv(model, grid, b)
+        w = weight_components(model, grid, b)
         pairs = [
-            (float(compute_intG_alpharfsv(model, grid, b)), compute_intG_generic(model, grid, b, d)),
-            (float(compute_iintDsG_alpharfsv(model, grid, b)), compute_iintDsG_generic(model, grid, b, d)),
+            (float(w.intG), compute_intG_generic(model, grid, b, d)),
+            (float(w.iintDsG), compute_iintDsG_generic(model, grid, b, d)),
         ]
         for closed, generic in pairs:
             rel = abs(closed - generic) / max(abs(generic), 1e-300)

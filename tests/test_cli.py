@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from volterra_greeks.cli import ConfigError, load_config, main
 from volterra_greeks.models import AlphaRFSV, SteinStein
 from volterra_greeks.oracles import bs_price_greeks
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIRS = (ROOT / "configs", ROOT / "perfbench" / "configs")
 
 BS_CFG = """\
 [model]
@@ -89,6 +93,10 @@ def test_load_config_round_trip(tmp_path):
         (lambda s: s + "ns_schedule = 100, 50\n", "task.ns_schedule"),
         (lambda s: s.replace("seed = 7", "seed = 7\nepsilon = -1e-6"), "numerics.epsilon"),
         (lambda s: s.replace("[market]\ns0 = 100\nr = 0.0\n", ""), "market"),
+        (lambda s: s.replace("seed = 7", "seed = 7\nconfidance = 0.5"), "numerics.confidance"),
+        (lambda s: s.replace("seed = 7", "seed = 7\ncell_integrated = true"), "numerics.cell_integrated"),
+        (lambda s: s.replace("h = 0.14", "h = 0.14\nsigma = 0.2"), "model.sigma"),
+        (lambda s: s + "\n[output]\nformat = csv\n", "output.format"),
     ],
 )
 def test_config_errors_carry_field_path(tmp_path, mangle, field):
@@ -96,6 +104,46 @@ def test_config_errors_carry_field_path(tmp_path, mangle, field):
     with pytest.raises(ConfigError) as exc:
         load_config(path)
     assert field in str(exc.value)
+
+
+def test_unknown_key_exit_2(tmp_path, capsys):
+    # a misspelt optional key must not fall back to its default silently
+    cfg = BS_CFG.replace("seed = 7", "seed = 7\nconfidance = 0.5")
+    assert main(["greek", "--config", _write(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerics.confidance: unknown key" in captured.err
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIRS[0].glob("*.cfg")) + sorted(CONFIG_DIRS[1].glob("*.cfg")),
+                         ids=lambda p: f"{p.parent.parent.name}/{p.parent.name}/{p.name}")
+def test_shipped_configs_load(path):
+    load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "model_section,sigma",
+    [
+        ("kind = alphasv\nv0 = 0.04\nxi = 0.0\nalpha = 1.0\nrho = -0.3\n", 0.2),
+        ("kind = stein_stein\nv0 = 0.2\nkappa = 1.5\ntheta = 0.2\nnu = 0.0\nrho = -0.3\n", 0.2),
+        ("kind = rough_stein_stein\nv0 = 0.2\nkappa = 0.0\ntheta = 0.5\nnu = 0.0\nrho = -0.3\nh = 0.3\n", 0.2),
+    ],
+    ids=["alphasv", "stein_stein", "rough_stein_stein"],
+)
+def test_bs_oracle_row_for_degenerate_models(tmp_path, model_section, sigma):
+    cfg = "[model]\n" + model_section + "\n[market]" + BS_CFG.split("[market]")[1]
+    cfg = cfg.replace("kinds = delta", "kinds = delta, rho").replace("oracles = fd, bs", "oracles = bs")
+    out = str(tmp_path / "bs.csv")
+    assert main(["greek", "--config", _write(tmp_path, cfg), "--out", out]) == 0
+    _, cols, rows = _read_csv(out)
+    recs = [dict(zip(cols, r)) for r in rows]
+    assert [(r["kind"], r["method"]) for r in recs] == [
+        ("delta", "malliavin"), ("delta", "bs"), ("rho", "malliavin"), ("rho", "bs"),
+    ]
+    ref = bs_price_greeks(100.0, 100.0, 1.0, 0.0, sigma)
+    for r in recs[1::2]:
+        assert float(r["value"]) == pytest.approx(getattr(ref, r["kind"]), rel=1e-12)
+        assert float(r["agreement"]) <= 3.0
 
 
 def test_missing_file_is_config_error(tmp_path, capsys):

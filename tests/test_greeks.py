@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from volterra_greeks.greeks import (
@@ -17,8 +19,11 @@ from volterra_greeks.greeks import (
 from volterra_greeks.kernel import KernelSpec
 from volterra_greeks.models import (
     AlphaRFSV,
+    AlphaSV,
+    BlackScholes,
     MarketSpec,
     MixedAlphaRFSV,
+    RoughSteinStein,
     SteinStein,
     UnsupportedError,
 )
@@ -231,3 +236,35 @@ def test_all_kinds_run_on_rough_model():
         assert math.isfinite(e.value) and e.stderr > 0.0
     assert ests[2].variant == "derived" and ests[3].variant == "derived"
     assert ests[0].variant is None
+
+
+_KERNELS = st.builds(KernelSpec, H=st.floats(0.02, 0.98), eps=st.floats(1e-6, 1e-2))
+_V0, _XI, _UNIT, _RHO = st.floats(1e-3, 3.0), st.floats(0.0, 50.0), st.floats(0.0, 1.0), st.floats(-1.0, 1.0)
+_ANY_MODEL = st.one_of(
+    st.builds(AlphaRFSV, v0=_V0, xi=_XI, alpha=_UNIT, rho=_RHO, kernel=_KERNELS),
+    st.builds(MixedAlphaRFSV, v0=_V0, xi_h=_XI, xi_hp=_XI, alpha=_UNIT, rho=_RHO,
+              kernel_h=_KERNELS, kernel_hp=_KERNELS),
+    st.builds(RoughSteinStein, v0=st.floats(-1.0, 3.0), kappa=st.floats(0.0, 10.0), theta=st.floats(-1.0, 3.0),
+              nu=st.floats(0.0, 5.0), rho=_RHO, kernel=_KERNELS),
+    st.builds(AlphaSV, v0=_V0, xi=_XI, alpha=_UNIT, rho=_RHO),
+    st.builds(SteinStein, v0=st.floats(-1.0, 3.0), kappa=st.floats(0.0, 10.0), theta=st.floats(-1.0, 3.0),
+              nu=st.floats(0.0, 5.0), rho=_RHO),
+    st.builds(BlackScholes, sigma=_V0),
+)
+_ANY_TASK = st.sampled_from([("price", None), ("delta", None), ("gamma", "literal"), ("gamma", "derived"),
+                             ("rho", "literal"), ("rho", "derived"), ("vega", None), ("hsens", None)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=_ANY_MODEL, task=_ANY_TASK, n=st.integers(1, 8), n_paths=st.integers(2, 200),
+       seed=st.integers(0, 2**32 - 1), payout=st.sampled_from(["call", "put", "digital_call"]),
+       strike=st.floats(50.0, 150.0), maturity=st.floats(0.1, 2.0), r=st.floats(0.0, 0.1))
+def test_estimates_are_finite_or_fail_loudly(model, task, n, n_paths, seed, payout, strike, maturity, r):
+    # grid and path counts are small for runtime; parameters span each model's domain
+    with np.errstate(all="ignore"):
+        try:
+            est = estimate_many([task], model, MarketSpec(s0=100.0, r=r), OptionSpec(strike, maturity, payout),
+                                TimeGrid(T=maturity, n=n), n_paths, seed)[0]
+        except (NumericalFailureError, UnsupportedError):
+            return
+    assert all(math.isfinite(x) for x in (est.value, est.stderr, est.ci_low, est.ci_high)), est

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from brute_force import malliavin_ddv, malliavin_ddv_tensor, malliavin_dv, sigma_prime, sigma_second
 from volterra_greeks.kernel import KernelSpec, kernel_eval, kernel_variance
 from volterra_greeks.models import (
     AlphaRFSV,
@@ -15,12 +16,7 @@ from volterra_greeks.models import (
     RoughSteinStein,
     SteinStein,
     UnsupportedError,
-    ddv_double_integral,
-    dtheta_vol,
-    idv_profile,
     make_bundle,
-    malliavin_ddv,
-    malliavin_dv,
     price_path,
     vol_path,
 )
@@ -222,8 +218,9 @@ def test_rho_zero_kills_dv_and_ddv(model):
     b = _bundle_for(m0, g)
     assert np.all(malliavin_dv(m0, g, b) == 0.0)
     assert np.all(malliavin_ddv(m0, g, b, 1, 3) == 0.0)
-    assert np.all(idv_profile(m0, g, b) == 0.0)
-    assert np.all(ddv_double_integral(m0, g, b) == 0.0)
+    _, g1, g2 = m0.profiles(g, b)
+    assert np.all(g1 == 0.0)
+    assert np.all(g2 == 0.0)
 
 
 def test_dv_alpharfsv_entry_value():
@@ -234,7 +231,7 @@ def test_dv_alpharfsv_entry_value():
     z = np.zeros(1)
     b = PathBundle(
         inc=DriverIncrements(dW=z, dWt=z, dZ=z, rho=-0.05),
-        Y=np.zeros(2), V=np.array([0.62, 0.62]), ST=np.array(100.0),
+        V=np.array([0.62, 0.62]), ST=np.array(100.0), aux={},
     )
     d = malliavin_dv(m, g, b)
     k = kernel_eval(m.kernel, 1.0, 0.0)
@@ -306,44 +303,46 @@ def test_ddv_symmetric(model):
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
 def test_idv_and_iddv_match_grid_sums(model):
+    # the profiles are the chain rule applied to IDV = dt sum_j D[j] and
+    # IDDV = dt^2 sum_{s,t} DD[s, t] over the brute-force grids
     g = TimeGrid(T=1.0, n=6)
     b = _bundle_for(model, g)
-    d = malliavin_dv(model, g, b)
-    assert np.allclose(idv_profile(model, g, b), g.dt * d.sum(axis=0), rtol=1e-12, atol=1e-16)
-    want = np.zeros(g.n + 1)
-    for s in range(g.n + 1):
-        for t in range(g.n + 1):
-            want += malliavin_ddv(model, g, b, s, t)
-    want *= g.dt * g.dt
-    assert np.allclose(ddv_double_integral(model, g, b), want, rtol=1e-11, atol=1e-16)
+    v = b.V[:-1]
+    idv = (g.dt * malliavin_dv(model, g, b).sum(axis=0))[:-1]
+    iddv = (g.dt * g.dt * malliavin_ddv_tensor(model, g, b).sum(axis=(0, 1)))[:-1]
+    sig, g1, g2 = model.profiles(g, b)
+    assert np.array_equal(sig, model.sigma_of(v))
+    assert np.allclose(g1, sigma_prime(model, v) * idv, rtol=1e-12, atol=1e-16)
+    want_g2 = sigma_second(model, v) * idv * idv + sigma_prime(model, v) * iddv
+    assert np.allclose(g2, want_g2, rtol=1e-11, atol=1e-16)
 
 
 def test_dtheta_v0():
     m = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.3, kernel=K14)
     g = TimeGrid(T=1.0, n=16)
     b = _bundle_for(m, g)
-    assert np.allclose(dtheta_vol(m, g, b, "v0"), b.V / 0.62, rtol=1e-15)
+    assert np.allclose(m.dtheta(g, b, "v0")[0], b.V / 0.62, rtol=1e-15)
     m0 = AlphaRFSV(v0=0.62, xi=0.0, alpha=1.0, rho=-0.3, kernel=K14)
     b0 = _bundle_for(m0, g)
-    assert np.all(dtheta_vol(m0, g, b0, "v0") == 1.0)
+    assert np.all(m0.dtheta(g, b0, "v0")[0] == 1.0)
     bs = BlackScholes(sigma=0.2)
     bbs = _bundle_for(bs, g, rho=0.0)
-    assert np.all(dtheta_vol(bs, g, bbs, "v0") == 1.0)
+    assert np.all(bs.dtheta(g, bbs, "v0")[0] == 1.0)
 
 
 def test_dtheta_h_xi_zero_and_unsupported():
     g = TimeGrid(T=1.0, n=16)
     m0 = AlphaRFSV(v0=0.62, xi=0.0, alpha=1.0, rho=-0.3, kernel=K14)
     b0 = _bundle_for(m0, g, with_dh=True)
-    assert np.all(dtheta_vol(m0, g, b0, "H") == 0.0)
+    assert np.all(m0.dtheta(g, b0, "H")[0] == 0.0)
     with pytest.raises(UnsupportedError):
-        dtheta_vol(BlackScholes(sigma=0.2), g, _bundle_for(BlackScholes(sigma=0.2), g, rho=0.0), "H")
+        BlackScholes(sigma=0.2).dtheta(g, _bundle_for(BlackScholes(sigma=0.2), g, rho=0.0), "H")
     rss = ALL_MODELS[2]
     with pytest.raises(UnsupportedError):
-        dtheta_vol(rss, g, _bundle_for(rss, g), "v0")
+        rss.dtheta(g, _bundle_for(rss, g), "v0")
     m = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.3, kernel=K14)
     with pytest.raises(ValueError):
-        dtheta_vol(m, g, _bundle_for(m, g), "H")  # bundle lacks dY/dH
+        m.dtheta(g, _bundle_for(m, g), "H")  # bundle lacks dY/dH
 
 
 def test_dtheta_h_matches_finite_difference():
@@ -353,7 +352,7 @@ def test_dtheta_h_matches_finite_difference():
     g = TimeGrid(T=1.0, n=32)
     inc = _single(gen_increments(g, m.rho, seed=9))
     b = make_bundle(m, MKT, g, inc, with_dh=True)
-    got = dtheta_vol(m, g, b, "H")
+    got = m.dtheta(g, b, "H")[0]
     h = 1e-5
     vps = []
     for dh in (h, -h):

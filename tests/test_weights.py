@@ -3,6 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from brute_force import (
+    compute_iintDsG_generic,
+    compute_intG_generic,
+    malliavin_ddv,
+    malliavin_dv,
+    sigma_prime,
+    sigma_second,
+)
 from volterra_greeks.kernel import KernelSpec
 from volterra_greeks.models import (
     AlphaRFSV,
@@ -14,11 +22,6 @@ from volterra_greeks.models import (
     SteinStein,
     UnsupportedError,
     make_bundle,
-    malliavin_ddv,
-    malliavin_dv,
-    sigma_of,
-    sigma_prime,
-    sigma_second,
 )
 from volterra_greeks.paths import DriverIncrements, TimeGrid, gen_increments
 from volterra_greeks.weights import (
@@ -27,10 +30,6 @@ from volterra_greeks.weights import (
     assemble_delta_weight,
     assemble_theta_weight,
     assemble_vega_numerator,
-    compute_iintDsG_alpharfsv,
-    compute_iintDsG_generic,
-    compute_intG_alpharfsv,
-    compute_intG_generic,
     triple_ddg_integral,
     weight_components,
 )
@@ -55,7 +54,7 @@ def brute_intG(model, grid, bundle, d):
     n = grid.n
     dt = grid.dt
     v, dw = bundle.V, bundle.inc.dW
-    sig, sp = sigma_of(model, v), sigma_prime(model, v)
+    sig, sp = model.sigma_of(v), sigma_prime(model, v)
     total = 0.0
     for i in range(n):
         g = sig[i]
@@ -75,7 +74,7 @@ def brute_iintDsG(model, grid, bundle, d):
     n = grid.n
     dt = grid.dt
     v, dw = bundle.V, bundle.inc.dW
-    sig, sp, spp = sigma_of(model, v), sigma_prime(model, v), sigma_second(model, v)
+    sig, sp, spp = model.sigma_of(v), sigma_prime(model, v), sigma_second(model, v)
     dd = {}
     for a in range(n + 1):
         for b in range(a, n + 1):
@@ -130,35 +129,6 @@ def test_generic_entrypoints_match_batch():
     assert compute_iintDsG_generic(model, grid, b, d) == pytest.approx(float(w.iintDsG), rel=1e-12)
 
 
-def test_closed_form_equals_generic_on_random_draws():
-    rng = np.random.default_rng(2024)
-    grid = TimeGrid(T=1.0, n=24)
-    for _ in range(25):
-        model = AlphaRFSV(
-            v0=float(rng.uniform(0.05, 1.0)),
-            xi=float(rng.uniform(1e-3, 0.5)),
-            alpha=float(rng.uniform(0.0, 1.0)),
-            rho=float(rng.uniform(-0.9, 0.9)),
-            kernel=KernelSpec(H=float(rng.uniform(0.05, 0.45)), eps=1e-6),
-        )
-        b = _single_bundle(model, grid, seed=int(rng.integers(1 << 30)))
-        d = malliavin_dv(model, grid, b)
-        ig_c = float(compute_intG_alpharfsv(model, grid, b))
-        dg_c = float(compute_iintDsG_alpharfsv(model, grid, b))
-        assert ig_c == pytest.approx(compute_intG_generic(model, grid, b, d), rel=1e-8)
-        assert dg_c == pytest.approx(compute_iintDsG_generic(model, grid, b, d), rel=1e-8)
-
-
-def test_closed_forms_reject_other_models():
-    grid = TimeGrid(T=1.0, n=8)
-    ss = BRUTE_MODELS[4]
-    b = _single_bundle(ss, grid)
-    with pytest.raises(UnsupportedError):
-        compute_intG_alpharfsv(ss, grid, b)
-    with pytest.raises(UnsupportedError):
-        compute_iintDsG_alpharfsv(ss, grid, b)
-
-
 @pytest.mark.parametrize("model", BRUTE_MODELS, ids=lambda m: type(m).__name__)
 def test_rho_zero_exactness(model):
     import dataclasses
@@ -169,7 +139,7 @@ def test_rho_zero_exactness(model):
     b = make_bundle(m0, MKT, grid, inc)
     w = weight_components(m0, grid, b)
     assert np.all(np.asarray(w.iintDsG) == 0.0)
-    want = grid.dt * sigma_of(m0, b.V[:, :-1]).sum(axis=-1)
+    want = grid.dt * m0.sigma_of(b.V[:, :-1]).sum(axis=-1)
     assert np.array_equal(np.asarray(w.intG), want)
 
 
@@ -189,9 +159,10 @@ def test_intg_single_step_unrolled():
     model = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.5, kernel=K14)
     grid = TimeGrid(T=0.5, n=1)
     b = _single_bundle(model, grid, seed=1)
-    assert b.kappa_hat[0] == 0.0
-    assert float(compute_intG_alpharfsv(model, grid, b)) == 0.62 * 0.5
-    assert float(compute_iintDsG_alpharfsv(model, grid, b)) == 0.0
+    assert b.aux["kappa_hat"][0] == 0.0
+    w = weight_components(model, grid, b)
+    assert float(w.intG) == 0.62 * 0.5
+    assert float(w.iintDsG) == 0.0
 
 
 def test_intg_two_step_unrolled():
@@ -207,7 +178,7 @@ def test_intg_two_step_unrolled():
     want = dt * (v0 + v1) + model.rho * model.xi * (
         v1 * k1 * dw[1] - dt * (v1 * v1 * k1)
     )
-    assert float(compute_intG_alpharfsv(model, grid, b)) == pytest.approx(want, rel=1e-14)
+    assert float(weight_components(model, grid, b).intG) == pytest.approx(want, rel=1e-14)
 
 
 def test_delta_weight_arithmetic():
