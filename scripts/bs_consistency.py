@@ -42,6 +42,8 @@ def main() -> None:
         opt = OptionSpec(strike=100.0, maturity=1.0, payoff=payoff)
         ref = bs_price_greeks(100.0, 100.0, 1.0, args.rate, args.sigma, payoff)
         ests = estimate_many(tasks, model, market, opt, grid, args.n_paths, args.seed)
+        sens = [e.kind for e in ests if e.kind != "price"]
+        fds = dict(zip(sens, fd_greek(sens, model, market, opt, grid, args.n_paths, args.seed)))
         print(f"\n{payoff}  ({args.n_paths} paths, {args.n_steps} steps, seed {args.seed})")
         print(f"{'kind':8} {'malliavin':>12} {'stderr':>10} {'closed':>12} {'z':>6}   {'fd':>12} {'z_fd':>6}")
         for est in ests:
@@ -50,7 +52,7 @@ def main() -> None:
             if est.kind == "price":
                 fd_s = f"{'-':>12} {'-':>6}"
             else:
-                fd = fd_greek(est.kind, model, market, opt, grid, args.n_paths, args.seed)
+                fd = fds[est.kind]
                 zf = abs(est.value - fd.value) / math.hypot(est.stderr, fd.stderr)
                 fd_s = f"{fd.value:12.5f} {zf:6.2f}"
             print(f"{est.kind:8} {est.value:12.5f} {est.stderr:10.5f} {target:12.5f} {z:6.2f}   {fd_s}")

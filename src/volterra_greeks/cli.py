@@ -173,6 +173,8 @@ def load_config(path: str) -> RunConfig:
     if n_paths < 2:
         raise ConfigError(f"numerics.n_paths: must be >= 2, got {n_paths}")
     seed = _number(cp, "numerics", "seed", cast=int)
+    if seed < 0:
+        raise ConfigError(f"numerics.seed: must be >= 0, got {seed}")
     confidence = _number(cp, "numerics", "confidence", 0.99)
     if not 0.0 < confidence < 1.0:
         raise ConfigError(f"numerics.confidence: must lie in (0, 1), got {confidence}")
@@ -238,25 +240,32 @@ def cmd_greek(cfg: RunConfig) -> tuple:
         if k not in _SENS_KINDS:
             raise ConfigError(f"task.kinds: {k!r} is not a sensitivity kind (use the price command)")
     t0 = time.perf_counter()
+
+    def elapsed_ms():
+        return int(round(1000.0 * (time.perf_counter() - t0)))
+
     tasks = [(k, _variant_of(k, cfg)) for k in kinds]
     ests = estimate_many(
         tasks, cfg.model, cfg.market, cfg.option, cfg.grid,
         cfg.n_paths, cfg.seed, cfg.confidence, cfg.workers,
     )
+    malliavin_ms = elapsed_ms()
+    fds, fd_ms = [], 0
+    if "fd" in cfg.oracles:
+        fds = fd_greek(
+            list(kinds), cfg.model, cfg.market, cfg.option, cfg.grid,
+            cfg.n_paths, cfg.seed, confidence=cfg.confidence, workers=cfg.workers,
+        )
+        fd_ms = elapsed_ms()
     sigma_bs = cfg.model.bs_sigma()
     rows = []
-    for est in ests:
-        ms = int(round(1000.0 * (time.perf_counter() - t0)))
-        rows.append(_greek_row(est, "malliavin", cfg.seed, ms, ""))
-        if "fd" in cfg.oracles:
-            fd = fd_greek(
-                est.kind, cfg.model, cfg.market, cfg.option, cfg.grid,
-                cfg.n_paths, cfg.seed, confidence=cfg.confidence, workers=cfg.workers,
-            )
+    for i, est in enumerate(ests):
+        rows.append(_greek_row(est, "malliavin", cfg.seed, malliavin_ms, ""))
+        if fds:
+            fd = fds[i]
             se = math.hypot(est.stderr, fd.stderr)
             agreement = abs(est.value - fd.value) / se if se > 0.0 else 0.0
-            ms = int(round(1000.0 * (time.perf_counter() - t0)))
-            rows.append(_greek_row(fd, "fd", cfg.seed, ms, agreement))
+            rows.append(_greek_row(fd, "fd", cfg.seed, fd_ms, agreement))
         if "bs" in cfg.oracles and sigma_bs is not None and est.kind != "hsens":
             bs = bs_price_greeks(
                 cfg.market.s0, cfg.option.strike, cfg.option.maturity,
@@ -264,8 +273,7 @@ def cmd_greek(cfg: RunConfig) -> tuple:
             )
             value = getattr(bs, est.kind)
             agreement = abs(est.value - value) / est.stderr if est.stderr > 0.0 else 0.0
-            ms = int(round(1000.0 * (time.perf_counter() - t0)))
-            rows.append([est.kind, "bs", "", value, 0.0, value, value, 0, 0, cfg.seed, ms, agreement])
+            rows.append([est.kind, "bs", "", value, 0.0, value, value, 0, 0, cfg.seed, elapsed_ms(), agreement])
     return _GREEK_COLS, rows
 
 
@@ -315,13 +323,17 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
             cfg.seed = args.seed
         env_workers = os.environ.get(WORKERS_ENV)
         if env_workers is not None:
             try:
-                cfg.workers = max(1, int(env_workers))
+                cfg.workers = int(env_workers)
             except ValueError:
                 raise ConfigError(f"{WORKERS_ENV}: expected an integer, got {env_workers!r}") from None
+            if cfg.workers < 1:
+                raise ConfigError(f"{WORKERS_ENV}: must be >= 1, got {cfg.workers}")
         cols, rows = {"price": cmd_price, "greek": cmd_greek, "converge": cmd_converge}[args.command](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

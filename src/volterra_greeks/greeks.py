@@ -165,7 +165,7 @@ def _task_samples(tasks, model, market, opt, grid, bundle: PathBundle):
             else:
                 x = opt.maturity * disc * f * (pi - 1.0)
         else:  # vega and hsens: the theta weight for v0 and H
-            n_num, int_dn = assemble_vega_numerator(model, grid, bundle, "v0" if kind == "vega" else "H")
+            n_num, int_dn = assemble_vega_numerator(model, grid, bundle, "v0" if kind == "vega" else "H", w)
             x = disc * f * assemble_theta_weight(n_num, int_dn, w)
         out[(kind, variant)] = (x, valid)
     return out
@@ -218,11 +218,13 @@ def _reduce(kind, variant, x, valid, confidence) -> GreekEstimate:
     )
 
 
-def _validate_run(model, market, opt, grid, n_paths, confidence):
+def _validate_run(opt, grid, n_paths, seed, confidence):
     if opt.maturity != grid.T:
         raise ValueError(f"option maturity {opt.maturity} must equal the grid horizon {grid.T}")
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
 
@@ -244,7 +246,7 @@ def estimate_many(
     default to the 'derived' variant.
     """
     tasks = _normalize_tasks(tasks)
-    _validate_run(model, market, opt, grid, n_paths, confidence)
+    _validate_run(opt, grid, n_paths, seed, confidence)
     samples = _all_task_samples(tasks, model, market, opt, grid, n_paths, seed, workers)
     return [_reduce(k, v, *samples[(k, v)], confidence) for k, v in tasks]
 
@@ -289,7 +291,7 @@ def converge(
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 2:
         raise ValueError("ns_schedule must be strictly increasing with entries >= 2")
     tasks = _normalize_tasks([(kind, variant)])
-    _validate_run(model, market, opt, grid, ns[-1], confidence)
+    _validate_run(opt, grid, ns[-1], seed, confidence)
     samples = _all_task_samples(tasks, model, market, opt, grid, ns[-1], seed, workers)
     x, valid = samples[tasks[0]]
     return [_reduce(tasks[0][0], tasks[0][1], x[:m], valid[:m], confidence) for m in ns]

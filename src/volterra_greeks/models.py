@@ -22,9 +22,11 @@ Variants (sigma is the vol-of-spot map applied to V):
 Each class supplies everything the estimator needs to know about it, so
 no other module branches on the model type:
 
-* path(grid, inc)            V and its auxiliary driver paths;
-* weight_inputs / dh_inputs  per-chunk grid vectors (and the dY/dH path)
-                             that the profiles below read;
+* path(grid, inc)            V and its auxiliary driver paths (with the
+                             kernel row integrals kappa_hat, taken from the
+                             kernel matrix the path was convolved with);
+* weight_inputs / dh_inputs  further per-chunk grid vectors (and the dY/dH
+                             path) that the profiles below read;
 * sigma_of(v)                the vol-of-spot map;
 * profiles(grid, bundle)     sigma(V), g1 = sigma'(V) IDV and
                              g2 = sigma''(V) IDV^2 + sigma'(V) IDDV on cells
@@ -58,7 +60,10 @@ from .kernel import (
     kernel_variance,
     kernel_variance_dh,
 )
-from .paths import DriverIncrements, TimeGrid, volterra_dh_path, volterra_path
+from . import paths
+# volterra_dh_path is not called here (_convolve shares its matrix), but the
+# benchmark's traced run (perfbench/tracing.py) wraps models.volterra_dh_path
+from .paths import DriverIncrements, TimeGrid, volterra_dh_path, volterra_path  # noqa: F401
 
 __all__ = [
     "UnsupportedError",
@@ -129,7 +134,7 @@ class PathBundle:
     Path arrays have time as the last axis (length n+1 for paths, n for
     increments) and may carry a leading path axis; ST is the terminal
     asset value alone.  aux holds the model's auxiliary paths and the
-    vectors its weight_inputs/dh_inputs computed, by name.
+    grid vectors its path, weight_inputs and dh_inputs computed, by name.
     """
 
     inc: DriverIncrements
@@ -169,9 +174,22 @@ def _exp_factor(v0, xi, alpha, kernel, grid, y):
     return v0 * np.exp(xi * y - 0.5 * alpha * xi * xi * rt)
 
 
-def _kappa_hat(kernel: KernelSpec, grid: TimeGrid) -> np.ndarray:
-    """Left-point kernel row integrals dt * sum_{j<i} K(t_i, t_j)."""
-    return grid.dt * kernel_matrix(kernel, grid.times).sum(axis=1)
+def _convolve(build, kernel: KernelSpec, grid: TimeGrid, inc: DriverIncrements):
+    """Left-point convolution of dZ with W = build(kernel, times), and dt W.sum(axis=1).
+
+    With build = kernel_matrix these are the Volterra path Y and the kernel
+    row integrals kappa_hat_i = dt sum_{j<i} K(t_i, t_j); with
+    kernel_dh_matrix, dY/dH and the row integrals of dK/dH.  Both come from
+    one matrix, built once per chunk.  The constant H = 1/2, eps = 0 kernel
+    keeps volterra_path's exact running sum, so the results equal those of
+    volterra_path and volterra_dh_path bit for bit.
+    """
+    w = build(kernel, grid.times)
+    if build is kernel_matrix and kernel.H == 0.5 and kernel.eps == 0.0:
+        y = volterra_path(kernel, grid, inc).Y
+    else:
+        y = paths.convolve_kernel(w, inc.dZ)
+    return y, grid.dt * w.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -192,17 +210,12 @@ class AlphaRFSV(_Model):
         _check_exponential(self.v0, self.alpha, self.rho, xi=self.xi)
 
     def path(self, grid, inc):
-        y = volterra_path(self.kernel, grid, inc).Y
-        return _exp_factor(self.v0, self.xi, self.alpha, self.kernel, grid, y), {"Y": y}
-
-    def weight_inputs(self, grid, inc):
-        return {"kappa_hat": _kappa_hat(self.kernel, grid)}
+        y, kappa_hat = _convolve(kernel_matrix, self.kernel, grid, inc)
+        return _exp_factor(self.v0, self.xi, self.alpha, self.kernel, grid, y), {"Y": y, "kappa_hat": kappa_hat}
 
     def dh_inputs(self, grid, inc):
-        return {
-            "dydh": volterra_dh_path(self.kernel, grid, inc),
-            "kappa_hat_dh": grid.dt * kernel_dh_matrix(self.kernel, grid.times).sum(axis=1),
-        }
+        dydh, kappa_hat_dh = _convolve(kernel_dh_matrix, self.kernel, grid, inc)
+        return {"dydh": dydh, "kappa_hat_dh": kappa_hat_dh}
 
     def profiles(self, grid, b):
         v = b.V[..., :-1]
@@ -262,14 +275,12 @@ class MixedAlphaRFSV(_Model):
         _check_exponential(self.v0, self.alpha, self.rho, xi_h=self.xi_h, xi_hp=self.xi_hp)
 
     def path(self, grid, inc):
-        y = volterra_path(self.kernel_h, grid, inc).Y
-        yp = volterra_path(self.kernel_hp, grid, inc).Y
+        y, kh = _convolve(kernel_matrix, self.kernel_h, grid, inc)
+        yp, khp = _convolve(kernel_matrix, self.kernel_hp, grid, inc)
         vh = _exp_factor(self.v0, self.xi_h, self.alpha, self.kernel_h, grid, y)
         vhp = _exp_factor(self.v0, self.xi_hp, self.alpha, self.kernel_hp, grid, yp)
-        return 0.5 * (vh + vhp), {"Y": y, "Yp": yp, "Vh": vh, "Vhp": vhp}
-
-    def weight_inputs(self, grid, inc):
-        return {"kappa_hat": _kappa_hat(self.kernel_h, grid), "kappa_hat_p": _kappa_hat(self.kernel_hp, grid)}
+        aux = {"Y": y, "Yp": yp, "Vh": vh, "Vhp": vhp, "kappa_hat": kh, "kappa_hat_p": khp}
+        return 0.5 * (vh + vhp), aux
 
     def profiles(self, grid, b):
         rk = self.rho * self.xi_h * b.aux["kappa_hat"][:-1]

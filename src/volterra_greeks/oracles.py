@@ -9,14 +9,16 @@ Two oracles, both free of any Malliavin machinery:
     and base runs reuse the exact same Gaussian draws path for path, so
     the per-path difference quotients are low-variance samples of the
     bump-and-reprice Greek.  An H bump rebuilds the kernel against the
-    unchanged driver increments.
+    unchanged driver increments.  Several kinds share one pass, which
+    prices each distinct bumped setup once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from functools import partial
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.stats import norm
@@ -116,8 +118,38 @@ def _apply_bump(model: ModelSpec, market: MarketSpec, parameter: str, value: flo
     return replace(model, kernel=replace(model.kernel, H=value)), market
 
 
+def _second(h, up, mid, down):
+    return (up - 2.0 * mid + down) / (h * h)
+
+
+def _forward(h, up, base):
+    return (up - base) / h
+
+
+def _central(h, up, down):
+    return (up - down) / (2.0 * h)
+
+
+def _plan(kind: str, model: ModelSpec, market: MarketSpec, bump: Optional[BumpSpec]):
+    """The bumped (model, market) setups of one kind and its difference quotient."""
+    parameter = _FD_PARAM[kind]
+    if bump is None or bump.parameter != parameter:
+        bump = default_bump(parameter)
+    base = _base_value(model, market, parameter)
+    h = bump.size if bump.absolute else bump.size * base
+    if h <= 0.0:
+        raise ValueError(f"relative bump of {parameter} needs a nonzero base value, got {base}")
+    if kind == "gamma":
+        values, quotient = (base + h, base, base - h), _second
+    elif parameter == "r" and base - h < 0.0:
+        values, quotient = (base + h, base), _forward
+    else:
+        values, quotient = (base + h, base - h), _central
+    return [_apply_bump(model, market, parameter, x) for x in values], partial(quotient, h)
+
+
 def fd_greek(
-    kind: str,
+    kinds: Union[str, Sequence[str]],
     model: ModelSpec,
     market: MarketSpec,
     opt: OptionSpec,
@@ -128,55 +160,63 @@ def fd_greek(
     confidence: float = 0.99,
     crn: bool = True,
     workers: int = 1,
-) -> GreekEstimate:
-    """Finite-difference estimate of one Greek, bump and reprice.
+):
+    """Finite-difference estimates, bump and reprice.
+
+    kinds is one kind, which returns one GreekEstimate, or a sequence of
+    kinds, which returns a list of estimates in the same order from one
+    pass over the paths: per chunk the increments are drawn once, one vol
+    path is built per distinct bumped model (s0 and r bumps share the
+    unbumped one) and each distinct (model, market) setup is priced once.
+    The estimates equal those of one call per kind.
 
     Central differences by default; the rate falls back to a forward
     difference when r - h would leave the domain.  gamma uses the
-    3-point second difference in s0.  With crn=False the bumped runs
-    draw from disjoint substreams instead of sharing draws.
+    3-point second difference in s0.  bump sets the size for every
+    requested kind that bumps its parameter and must match at least one;
+    the other kinds use default_bump.  With crn=False the k-th setup of
+    every kind draws from its own substream instead of sharing draws.
     """
-    if kind not in _FD_PARAM:
-        raise ValueError(f"kind must be one of {sorted(_FD_PARAM)}, got {kind!r}")
-    _validate_run(model, market, opt, grid, n_paths, confidence)
-    parameter = _FD_PARAM[kind]
-    bump = bump or default_bump(parameter)
-    if bump.parameter != parameter:
-        raise ValueError(f"kind {kind!r} bumps {parameter!r}, got a bump for {bump.parameter!r}")
-    base = _base_value(model, market, parameter)
-    h = bump.size if bump.absolute else bump.size * base
-    if h <= 0.0:
-        raise ValueError(f"relative bump of {parameter} needs a nonzero base value, got {base}")
+    single = isinstance(kinds, str)
+    kinds = [kinds] if single else list(kinds)
+    if not kinds:
+        raise ValueError("kinds must name at least one kind")
+    for kind in kinds:
+        if kind not in _FD_PARAM:
+            raise ValueError(f"kind must be one of {sorted(_FD_PARAM)}, got {kind!r}")
+    _validate_run(opt, grid, n_paths, seed, confidence)
+    if bump is not None and all(_FD_PARAM[k] != bump.parameter for k in kinds):
+        bumped = sorted({_FD_PARAM[k] for k in kinds})
+        raise ValueError(f"kinds {kinds} bump {bumped}, got a bump for {bump.parameter!r}")
 
-    forward = parameter == "r" and base - h < 0.0
-    if kind == "gamma":
-        values = (base + h, base, base - h)
-    elif forward:
-        values = (base + h, base)
-    else:
-        values = (base + h, base - h)
-    setups = [_apply_bump(model, market, parameter, x) for x in values]
-    disc = [math.exp(-mk.r * opt.maturity) for _, mk in setups]
-
-    def one(md, mk, inc):
-        v, _ = vol_path(md, grid, inc)
-        return payoff(opt, price_path(mk, md, grid, v, inc.dW))
+    # plans[i] = (price keys of kind i's setups, its quotient); a key is
+    # (draw index, model, market), the draw index 0 under common numbers.
+    # draws: draw index -> model -> its markets, each setup listed once.
+    plans, draws = [], {}
+    for kind in kinds:
+        setups, quotient = _plan(kind, model, market, bump)
+        keys = [(0 if crn else k, md, mk) for k, (md, mk) in enumerate(setups)]
+        for k, md, mk in keys:
+            markets = draws.setdefault(k, {}).setdefault(md, [])
+            if mk not in markets:
+                markets.append(mk)
+        plans.append((keys, quotient))
 
     def chunk(start, stop):
-        m = stop - start
-        if crn:
-            inc = gen_increments(grid, model.rho, seed, m, start)
-            prices = [d * one(md, mk, inc) for d, (md, mk) in zip(disc, setups)]
-        else:
-            prices = [
-                d * one(md, mk, gen_increments(grid, model.rho, seed, m, k * n_paths + start))
-                for k, (d, (md, mk)) in enumerate(zip(disc, setups))
-            ]
-        if kind == "gamma":
-            return (prices[0] - 2.0 * prices[1] + prices[2]) / (h * h)
-        if forward:
-            return (prices[0] - prices[1]) / h
-        return (prices[0] - prices[1]) / (2.0 * h)
+        prices = {}
+        for k, by_model in draws.items():
+            inc = gen_increments(grid, model.rho, seed, stop - start, k * n_paths + start)
+            for md, markets in by_model.items():
+                v = vol_path(md, grid, inc)[0]
+                for mk in markets:
+                    st = price_path(mk, md, grid, v, inc.dW)
+                    prices[k, md, mk] = math.exp(-mk.r * opt.maturity) * payoff(opt, st)
+                del v  # one vol path (and one draw) alive at a time
+            del inc
+        return [quotient(*(prices[key] for key in keys)) for keys, quotient in plans]
 
-    x = np.concatenate(_run_chunks(n_paths, workers, chunk))
-    return _reduce(kind, None, x, np.ones(x.shape, dtype=bool), confidence)
+    ests = []
+    for kind, parts in zip(kinds, zip(*_run_chunks(n_paths, workers, chunk))):
+        x = np.concatenate(parts)
+        ests.append(_reduce(kind, None, x, np.ones(x.shape, dtype=bool), confidence))
+    return ests[0] if single else ests

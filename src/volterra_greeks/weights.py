@@ -35,7 +35,7 @@ All functions broadcast over a leading path axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -62,11 +62,17 @@ class DegenerateWeightError(ArithmeticError):
 
 @dataclass(frozen=True)
 class WeightComponents:
-    """Path statistics entering every weight: intG, iintDsG and W_T."""
+    """Path statistics entering every weight: intG, iintDsG and W_T.
+
+    sigma and g1 are the model profiles the statistics were built from,
+    kept for the theta-weight numerator (None when not built from paths).
+    """
 
     intG: Union[float, np.ndarray]
     iintDsG: Union[float, np.ndarray]
     WT: Union[float, np.ndarray]
+    sigma: Optional[np.ndarray] = None
+    g1: Optional[np.ndarray] = None
 
 
 def weight_components(model: ModelSpec, grid: TimeGrid, bundle: PathBundle) -> WeightComponents:
@@ -75,7 +81,7 @@ def weight_components(model: ModelSpec, grid: TimeGrid, bundle: PathBundle) -> W
     sig, g1, g2 = model.profiles(grid, bundle)
     ig = dt * sig.sum(axis=-1) + _dot(g1, dw) - dt * _dot(g1, sig)
     dg = 2.0 * dt * g1.sum(axis=-1) + _dot(g2, dw) - dt * _dot(g2, sig) - dt * _dot(g1, g1)
-    return WeightComponents(intG=ig, iintDsG=dg, WT=dw.sum(axis=-1))
+    return WeightComponents(intG=ig, iintDsG=dg, WT=dw.sum(axis=-1), sigma=sig, g1=g1)
 
 
 def _over_intg(w: WeightComponents, first, second):
@@ -99,7 +105,9 @@ def assemble_delta_weight(w: WeightComponents):
     return _over_intg(w, w.WT, w.iintDsG)
 
 
-def assemble_vega_numerator(model: ModelSpec, grid: TimeGrid, bundle: PathBundle, which: str):
+def assemble_vega_numerator(
+    model: ModelSpec, grid: TimeGrid, bundle: PathBundle, which: str, w: WeightComponents
+):
     """Numerator statistics (N, intDN) for the theta weight, theta = v0 or H.
 
     N = sum_i b_i dt + sum_i a_i dW_i with a = d_theta V (sigma(x) = x on
@@ -108,10 +116,13 @@ def assemble_vega_numerator(model: ModelSpec, grid: TimeGrid, bundle: PathBundle
     of D a (from the model) and IDV = g1
 
       intDN = dt sum a + sum IDa dW - dt sum (IDV a + V IDa).
+
+    V and IDV are read from w, the components weight_components built on
+    the same bundle.
     """
     dt = grid.dt
     a, ida = model.dtheta(grid, bundle, which)
-    v, idv = model.profiles(grid, bundle)[:2]
+    v, idv = w.sigma, w.g1
     an, dan, dw = a[..., :-1], ida[..., :-1], bundle.inc.dW
     n_num = -dt * (v * an).sum(axis=-1) + (an * dw).sum(axis=-1)
     int_dn = dt * an.sum(axis=-1) + _dot(dan, dw) - dt * (_dot(idv, an) + _dot(v, dan))

@@ -97,6 +97,7 @@ def test_load_config_round_trip(tmp_path):
         (lambda s: s.replace("seed = 7", "seed = 7\ncell_integrated = true"), "numerics.cell_integrated"),
         (lambda s: s.replace("h = 0.14", "h = 0.14\nsigma = 0.2"), "model.sigma"),
         (lambda s: s + "\n[output]\nformat = csv\n", "output.format"),
+        (lambda s: s.replace("seed = 7", "seed = -1"), "numerics.seed"),
     ],
 )
 def test_config_errors_carry_field_path(tmp_path, mangle, field):
@@ -334,6 +335,55 @@ def test_workers_env_does_not_change_values(tmp_path, monkeypatch):
     assert _strip_wallclock(out1) == _strip_wallclock(out2)
     monkeypatch.setenv("VOLTERRA_GREEKS_WORKERS", "many")
     assert main(["greek", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_workers_env_below_one_exit_2(tmp_path, monkeypatch, capsys, value):
+    # the same rule as numerics.workers, not a silent clamp to 1
+    monkeypatch.setenv("VOLTERRA_GREEKS_WORKERS", value)
+    assert main(["greek", "--config", _write(tmp_path, BS_CFG)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"VOLTERRA_GREEKS_WORKERS: must be >= 1, got {value}" in captured.err
+
+
+def test_negative_seed_override_exit_2(tmp_path, capsys):
+    assert main(["price", "--config", _write(tmp_path, BS_CFG), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed: must be >= 0, got -1" in captured.err
+
+
+def test_greek_fd_rows_come_from_one_fd_pass(tmp_path, monkeypatch):
+    from volterra_greeks import cli
+    from volterra_greeks.oracles import fd_greek
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return fd_greek(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fd_greek", counting)
+    kinds = ["delta", "gamma", "rho", "vega"]
+    cfg = BS_CFG.replace("kinds = delta", "kinds = " + ", ".join(kinds)).replace("r = 0.0", "r = 0.05")
+    out = str(tmp_path / "g.csv")
+    assert main(["greek", "--config", _write(tmp_path, cfg), "--out", out]) == 0
+    assert calls == [kinds]
+    c = load_config(_write(tmp_path, cfg, "again.cfg"))
+    _, cols, rows = _read_csv(out)
+    rows = [dict(zip(cols, r)) for r in rows]
+    fd_rows = [r for r in rows if r["method"] == "fd"]
+    assert [r["kind"] for r in fd_rows] == kinds
+    for row in fd_rows:
+        want = fd_greek(row["kind"], c.model, c.market, c.option, c.grid, c.n_paths, c.seed, confidence=c.confidence)
+        got = [float(row[k]) for k in ("value", "stderr", "ci_low", "ci_high")]
+        assert got == [want.value, want.stderr, want.ci_low, want.ci_high]
+        assert (int(row["n_paths"]), int(row["n_discarded"])) == (want.n_paths, want.n_discarded)
+    # malliavin rows are stamped after the Malliavin pass, fd rows after the FD pass
+    stamps = [{int(r["wallclock_ms"]) for r in rows if r["method"] == m} for m in ("malliavin", "fd")]
+    (malliavin_ms,), (fd_ms,) = stamps
+    assert fd_ms >= malliavin_ms
 
 
 def test_stdout_output(tmp_path, capsys):

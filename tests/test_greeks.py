@@ -77,6 +77,11 @@ def test_run_validation():
         estimate("delta", BS_MODEL, BS_MKT, OPT, GRID, 100, seed=0, variant="derived")
     with pytest.raises(ValueError):
         estimate("gamma", BS_MODEL, BS_MKT, OPT, GRID, 100, seed=0, variant="typo")
+    # the substream key needs a non-negative seed: say so instead of failing inside numpy
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        estimate_many(["price", "delta"], BS_MODEL, BS_MKT, OPT, GRID, 100, seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        converge("delta", BS_MODEL, BS_MKT, OPT, GRID, [10, 100], seed=-1)
 
 
 def test_estimate_interval_shape():

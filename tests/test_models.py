@@ -367,3 +367,47 @@ def test_with_dh_only_for_alpharfsv():
     inc = _single(gen_increments(g, -0.5, seed=0))
     with pytest.raises(UnsupportedError):
         make_bundle(ALL_MODELS[2], MKT, g, inc, with_dh=True)
+
+
+@pytest.mark.parametrize("kernel", [K14, KBM], ids=["rough", "h_half_eps_zero"])
+def test_bundle_builds_each_kernel_matrix_once(monkeypatch, kernel):
+    from volterra_greeks import kernel as kernel_mod
+    from volterra_greeks import models, paths
+    from volterra_greeks.paths import volterra_dh_path, volterra_path
+
+    grid = TimeGrid(T=1.0, n=8)
+    model = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.5, kernel=kernel)
+    inc = gen_increments(grid, model.rho, seed=13, n_paths=6)
+    # the reference values, before any builder is counted
+    want_y = volterra_path(kernel, grid, inc).Y
+    want_dydh = volterra_dh_path(kernel, grid, inc)
+    want_kh = grid.dt * kernel_mod.kernel_matrix(kernel, grid.times).sum(axis=1)
+    want_khdh = grid.dt * kernel_mod.kernel_dh_matrix(kernel, grid.times).sum(axis=1)
+
+    builds = {"kernel_matrix": 0, "kernel_dh_matrix": 0}
+
+    def counting(name):
+        fn = getattr(kernel_mod, name)
+
+        def wrapped(*args):
+            builds[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    for name in builds:
+        wrapped = counting(name)
+        for mod in (models, paths):
+            monkeypatch.setattr(mod, name, wrapped)
+    b = make_bundle(model, MKT, grid, inc, with_dh=True)
+    assert builds == {"kernel_matrix": 1, "kernel_dh_matrix": 1}
+    # the path and the row integrals share one matrix and keep their values bit for bit
+    assert np.array_equal(b.aux["Y"], want_y)
+    assert np.array_equal(b.aux["dydh"], want_dydh)
+    assert np.array_equal(b.aux["kappa_hat"], want_kh)
+    assert np.array_equal(b.aux["kappa_hat_dh"], want_khdh)
+
+    builds.update(kernel_matrix=0)
+    mixed = MixedAlphaRFSV(v0=0.62, xi_h=0.21, xi_hp=0.3, alpha=1.0, rho=-0.5, kernel_h=kernel, kernel_hp=K30)
+    make_bundle(mixed, MKT, grid, inc)
+    assert builds["kernel_matrix"] == 2

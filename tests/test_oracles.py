@@ -86,6 +86,14 @@ def test_fd_validation():
         fd_greek("delta", bs, mkt, OPT, GRID, 100, seed=0, confidence=1.5)
     with pytest.raises(ValueError):
         fd_greek("delta", bs, mkt, OPT, GRID, 100, seed=0, bump=BumpSpec("r", 1e-3, True))
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        fd_greek(["delta", "rho"], bs, mkt, OPT, GRID, 100, seed=-1)
+    with pytest.raises(ValueError, match="at least one"):
+        fd_greek([], bs, mkt, OPT, GRID, 100, seed=0)
+    with pytest.raises(ValueError, match="kind must be one of"):
+        fd_greek(["delta", "price"], bs, mkt, OPT, GRID, 100, seed=0)
+    with pytest.raises(ValueError, match="got a bump for 'H'"):
+        fd_greek(["delta", "gamma", "rho"], bs, mkt, OPT, GRID, 100, seed=0, bump=BumpSpec("H", 1e-3, True))
 
 
 @pytest.mark.parametrize("kind", ["delta", "gamma", "vega", "rho"])
@@ -162,3 +170,61 @@ def test_fd_delta_agrees_for_stein_stein():
     mall = estimate("delta", ss, mkt, OPT, GRID, 20_000, seed=103)
     fd = fd_greek("delta", ss, mkt, OPT, GRID, 20_000, seed=103)
     assert abs(mall.value - fd.value) < 3 * math.hypot(mall.stderr, fd.stderr)
+
+
+ROUGH = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.05, kernel=KernelSpec(H=0.14, eps=1e-6))
+GRID16 = TimeGrid(T=1.0, n=16)
+TWO_CHUNKS = 8192 + 300  # greeks._CHUNK + a partial chunk
+
+
+def _per_kind(kinds, model, mkt, n_paths, seed, bump=None, **kw):
+    from volterra_greeks.oracles import _FD_PARAM
+
+    return [
+        fd_greek(k, model, mkt, OPT, GRID16, n_paths, seed,
+                 bump=bump if bump is not None and bump.parameter == _FD_PARAM[k] else None, **kw)
+        for k in kinds
+    ]
+
+
+@pytest.mark.parametrize(
+    "kinds,r,bump",
+    [
+        (["delta", "gamma", "rho", "vega", "hsens"], 0.05, None),
+        (["delta", "gamma"], 0.05, None),  # both read the s0 +- h setups
+        (["rho", "gamma", "delta"], 0.0, None),  # forward rho shares the unbumped setup with gamma
+        (["delta", "gamma", "vega"], 0.05, BumpSpec("s0", 5e-2, False)),  # bump applies to delta and gamma only
+        (["vega", "delta"], 0.05, BumpSpec("v0", 0.02, True)),
+    ],
+)
+@pytest.mark.parametrize("crn", [True, False])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_fd_sequence_equals_per_kind_calls(kinds, r, bump, crn, workers):
+    mkt = MarketSpec(s0=100.0, r=r)
+    got = fd_greek(kinds, ROUGH, mkt, OPT, GRID16, TWO_CHUNKS, seed=5, bump=bump, crn=crn, workers=workers)
+    assert isinstance(got, list) and [e.kind for e in got] == kinds
+    assert got == _per_kind(kinds, ROUGH, mkt, TWO_CHUNKS, 5, bump=bump, crn=crn, workers=workers)
+
+
+def test_fd_sequence_draws_once_and_prices_each_setup_once(monkeypatch):
+    from volterra_greeks import oracles
+
+    calls = {"gen_increments": 0, "vol_path": 0, "price_path": 0}
+
+    def counting(name):
+        fn = getattr(oracles, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(oracles, name, counting(name))
+    mkt = MarketSpec(s0=100.0, r=0.05)
+    fd_greek(["delta", "gamma", "rho", "vega"], ROUGH, mkt, OPT, TimeGrid(T=1.0, n=4), TWO_CHUNKS, seed=3)
+    # per chunk: one draw; vol paths for the unbumped, v0 + h and v0 - h
+    # models; the setups s0 +- h, s0, r +- h and v0 +- h priced once each
+    assert calls == {"gen_increments": 2, "vol_path": 6, "price_path": 14}
+

@@ -11,6 +11,7 @@ from brute_force import (
     sigma_prime,
     sigma_second,
 )
+from volterra_greeks.greeks import OptionSpec, estimate_many
 from volterra_greeks.kernel import KernelSpec
 from volterra_greeks.models import (
     AlphaRFSV,
@@ -221,17 +222,18 @@ def test_vega_numerator_reductions():
     m0 = AlphaRFSV(v0=0.25, xi=0.0, alpha=1.0, rho=-0.3, kernel=K14)
     inc = gen_increments(grid, m0.rho, seed=4, n_paths=8)
     b = make_bundle(m0, MKT, grid, inc, with_dh=True)
-    n_num, int_dn = assemble_vega_numerator(m0, grid, b, "v0")
+    w0 = weight_components(m0, grid, b)
+    n_num, int_dn = assemble_vega_numerator(m0, grid, b, "v0", w0)
     wt = inc.dW.sum(axis=-1)
     assert np.array_equal(n_num, wt - 0.25)
     assert np.all(int_dn == 1.0)
-    n_h, dn_h = assemble_vega_numerator(m0, grid, b, "H")
+    n_h, dn_h = assemble_vega_numerator(m0, grid, b, "H", w0)
     assert np.all(n_h == 0.0) and np.all(dn_h == 0.0)
     # rho = 0: every Malliavin correction to intDN vanishes
     mr = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=0.0, kernel=K14)
     incr = gen_increments(grid, 0.0, seed=4, n_paths=8)
     br = make_bundle(mr, MKT, grid, incr)
-    _, int_dn_r = assemble_vega_numerator(mr, grid, br, "v0")
+    _, int_dn_r = assemble_vega_numerator(mr, grid, br, "v0", weight_components(mr, grid, br))
     assert np.allclose(int_dn_r, grid.dt * (br.V[:, :-1] / 0.62).sum(axis=-1), rtol=1e-14)
 
 
@@ -248,7 +250,7 @@ def test_bs_theta_weight_identity():
     inc = gen_increments(grid, 0.0, seed=12, n_paths=16)
     b = make_bundle(model, MKT, grid, inc)
     w = weight_components(model, grid, b)
-    n_num, int_dn = assemble_vega_numerator(model, grid, b, "v0")
+    n_num, int_dn = assemble_vega_numerator(model, grid, b, "v0", w)
     got = assemble_theta_weight(n_num, int_dn, w)
     wt = inc.dW.sum(axis=-1)
     assert np.array_equal(got, ((wt - 0.25) * wt - 1.0) / 0.25)
@@ -321,3 +323,20 @@ def test_delta_weight_unbiased_on_linear_payoff(model):
     assert x.size > n_paths * 0.9999
     se = x.std(ddof=1) / math.sqrt(x.size)
     assert abs(x.mean() - 1.0) < 3 * se
+
+
+def test_theta_numerator_reuses_the_weight_profiles(monkeypatch):
+    # assemble_vega_numerator reads sigma and g1 from the weight components
+    # instead of building the model profiles a second time
+    model = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.5, kernel=K14)
+    grid = TimeGrid(T=1.0, n=16)
+    calls = []
+    profiles = AlphaRFSV.profiles
+
+    def counting(self, grid, b):
+        calls.append(1)
+        return profiles(self, grid, b)
+
+    monkeypatch.setattr(AlphaRFSV, "profiles", counting)
+    estimate_many(["delta", "vega", "hsens"], model, MKT, OptionSpec(100.0, 1.0), grid, 200, seed=3)
+    assert len(calls) == 1
