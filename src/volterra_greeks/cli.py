@@ -283,6 +283,8 @@ def cmd_converge(cfg: RunConfig) -> tuple:
         raise ConfigError(f"task.kinds: converge takes exactly one kind, got {list(kinds)}")
     if not cfg.ns_schedule:
         raise ConfigError("task.ns_schedule: missing required key")
+    if cfg.oracles:
+        raise ConfigError(f"task.oracles: converge runs no oracles (greek does), got {list(cfg.oracles)}")
     kind = kinds[0]
     ests = converge(
         kind, cfg.model, cfg.market, cfg.option, cfg.grid, cfg.ns_schedule,
@@ -302,6 +304,17 @@ def _write_csv(cols, rows, out: Optional[str]) -> None:
     finally:
         if out:
             fh.close()
+
+
+def _check_out(out: str) -> None:
+    """Fail before any simulation if the CSV cannot be written at out."""
+    where = os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(out):
+        raise ConfigError(f"--out: {out!r} is a directory")
+    if not os.path.isdir(where):
+        raise ConfigError(f"--out: directory {where!r} does not exist")
+    if not os.access(where, os.W_OK):
+        raise ConfigError(f"--out: directory {where!r} is not writable")
 
 
 def _parse_args(argv):
@@ -334,6 +347,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"{WORKERS_ENV}: expected an integer, got {env_workers!r}") from None
             if cfg.workers < 1:
                 raise ConfigError(f"{WORKERS_ENV}: must be >= 1, got {cfg.workers}")
+        if args.out:
+            _check_out(args.out)
         cols, rows = {"price": cmd_price, "greek": cmd_greek, "converge": cmd_converge}[args.command](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

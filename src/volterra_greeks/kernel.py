@@ -16,6 +16,12 @@ weight formulas and the variance normalisation:
 
 At H = 1/2, eps = 0 the kernel collapses to the constant 1 and
 kappa(t) = r(t) = t; those reductions are exact in floating point.
+
+On a uniform grid K(t_i, t_j) depends on the lag i - j only, so the
+kernel matrices are Toeplitz: kernel_matrix and kernel_dh_matrix evaluate
+the kernel once per lag l = 1..n, at x = t_l - t_0 + eps, and gather the
+strictly lower-triangular matrix from that vector.  They reject a grid
+that is not uniformly spaced, on which the lag structure does not hold.
 """
 
 from __future__ import annotations
@@ -114,30 +120,40 @@ def kernel_variance_dh(spec: KernelSpec, t):
     return out if out.ndim else float(out)
 
 
+def _lags(times: np.ndarray) -> np.ndarray:
+    """Lags x_l = t_l - t_0, l = 1..n, of a uniform grid; ValueError otherwise."""
+    times = np.asarray(times, dtype=float)
+    lags = times[1:] - times[0]
+    n = len(lags)
+    if n:
+        off = np.abs(lags - np.arange(1, n + 1) * (lags[-1] / n))
+        if not (lags[-1] > 0.0 and off.max() <= 1e-9 * lags[-1]):
+            raise ValueError("kernel matrices need an increasing, uniformly spaced times array")
+    return lags
+
+
+def _toeplitz_lower(by_lag: np.ndarray) -> np.ndarray:
+    """(n+1) x n matrix M[i, j] = by_lag[i - j - 1] for j < i, zero elsewhere."""
+    n = len(by_lag)
+    padded = np.concatenate([by_lag[::-1], np.zeros(n)])  # row i is padded[n-i : 2n-i]
+    return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, n)[::-1])
+
+
 def kernel_matrix(spec: KernelSpec, times: np.ndarray) -> np.ndarray:
     """Strictly lower-triangular matrix K[i, j] = K(t_i, t_j) for j < i.
 
     Rows index the evaluation time t_i (0..n), columns the increment cell
     [t_j, t_{j+1}) (0..n-1).  Entries with j >= i are zero; the diagonal is
-    never evaluated, so eps = 0 is valid for any H.
+    never evaluated, so eps = 0 is valid for any H.  The kernel is taken
+    once per lag (see the module docstring), so times must be uniformly
+    spaced; ValueError otherwise.
     """
-    n = len(times) - 1
-    diff = times[:, None] - times[None, :n]
-    mask = diff > 0.0
-    out = np.zeros((n + 1, n))
-    out[mask] = math.sqrt(2.0 * spec.H) * (diff[mask] + spec.eps) ** (spec.H - 0.5)
-    return out
+    return _toeplitz_lower(kernel_eval(spec, _lags(times), 0.0))
 
 
 def kernel_dh_matrix(spec: KernelSpec, times: np.ndarray) -> np.ndarray:
-    """Strictly lower-triangular matrix of dK/dH values on the grid."""
-    n = len(times) - 1
-    diff = times[:, None] - times[None, :n]
-    mask = diff > 0.0
-    x = diff[mask] + spec.eps
-    out = np.zeros((n + 1, n))
-    out[mask] = math.sqrt(2.0 * spec.H) * x ** (spec.H - 0.5) * (0.5 / spec.H + np.log(x))
-    return out
+    """Strictly lower-triangular matrix of dK/dH values on the uniform grid."""
+    return _toeplitz_lower(kernel_dh(spec, _lags(times), 0.0))
 
 
 def cell_variance_matrix(spec: KernelSpec, times: np.ndarray) -> np.ndarray:

@@ -170,8 +170,13 @@ class _Model:
 
 
 def _exp_factor(v0, xi, alpha, kernel, grid, y):
+    """v0 exp(xi y - alpha xi^2 r(t) / 2), built in one buffer the size of y."""
     rt = kernel_variance(kernel, grid.times)
-    return v0 * np.exp(xi * y - 0.5 * alpha * xi * xi * rt)
+    v = np.multiply(xi, y)
+    v -= 0.5 * alpha * xi * xi * rt
+    np.exp(v, out=v)
+    v *= v0
+    return v
 
 
 def _convolve(build, kernel: KernelSpec, grid: TimeGrid, inc: DriverIncrements):

@@ -29,6 +29,7 @@ from .kernel import KernelSpec, cell_variance_matrix, kernel_dh_matrix, kernel_m
 
 RNG_STREAM = 2  # version of the (seed, path index) -> draws map, in the CLI schema line
 _BLOCK = 256  # paths per substream; divides greeks._CHUNK
+_ROW_BLOCK = 512  # grids with n above this convolve in row blocks; smaller ones in one product
 
 __all__ = [
     "RNG_STREAM",
@@ -113,8 +114,21 @@ def gen_increments(
 
 
 def convolve_kernel(kmat: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """Apply the lower-triangular kernel weights: Y = dz @ kmat.T, Y_0 = 0."""
-    y = dz @ kmat.T
+    """Apply the lower-triangular kernel weights: Y = dz @ kmat.T, Y_0 = 0.
+
+    kmat is (n+1) x n and zero on and above its diagonal.  Its rows are
+    split into ceil(n / 512) near-equal blocks of about 512 rows, and each
+    block takes only the columns below its last row, so the zero upper
+    blocks are never multiplied.  For n <= 512 that is one dense product.
+    """
+    rows, n = kmat.shape
+    if dz.shape[-1] != n:
+        raise ValueError(f"increments have {dz.shape[-1]} cells, the kernel matrix {n}")
+    y = np.empty(dz.shape[:-1] + (rows,))
+    blocks = -(-n // _ROW_BLOCK)
+    for b in range(blocks):
+        lo, hi = b * rows // blocks, (b + 1) * rows // blocks
+        np.matmul(dz[..., : hi - 1], kmat[lo:hi, : hi - 1].T, out=y[..., lo:hi])
     y[..., 0] = 0.0
     return y
 

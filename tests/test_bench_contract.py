@@ -2,29 +2,66 @@
 
 perfbench/tracing.py lists every (module, attribute) it replaces for the
 per-layer spans; a name renamed or removed in the package would crash
-`perfbench/run.py --trace 1`.  This checks each one resolves.
+`perfbench/run.py --trace 1`.  This checks each one resolves, and that a
+traced fine-grid run (several convolution row blocks) still gives every
+convolution a flop count and passes the trace's own checks.
 """
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
+from volterra_greeks import cli, greeks, kernel, models, oracles, paths, weights
+from volterra_greeks.greeks import OptionSpec
+from volterra_greeks.kernel import KernelSpec
+from volterra_greeks.models import AlphaRFSV, MarketSpec
+from volterra_greeks.paths import TimeGrid, gen_increments
 from volterra_greeks.weights import DEGENERATE_INTG
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def _layers_table():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     mod = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = mod  # its dataclasses look their module up there
     spec.loader.exec_module(mod)
-    return mod.layers_table(DEGENERATE_INTG)
+    return mod
+
+
+def _layers_table():
+    return _tracing().layers_table(DEGENERATE_INTG)
 
 
 @pytest.mark.parametrize("module,attr", sorted({(m, a) for m, a, _, _ in _layers_table()}))
 def test_traced_name_resolves(module, attr):
     assert callable(getattr(importlib.import_module(f"volterra_greeks.{module}"), attr))
+
+
+def test_traced_fine_grid_run_counts_blocked_convolutions():
+    tracing = _tracing()
+    mods = {"cli": cli, "greeks": greeks, "kernel": kernel, "models": models,
+            "oracles": oracles, "paths": paths, "weights": weights}
+    grid = TimeGrid(T=1.0, n=1100)  # three convolution row blocks
+    model = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.05, kernel=KernelSpec(H=0.14))
+    market, opt = MarketSpec(s0=100.0, r=0.05), OptionSpec(strike=100.0, maturity=1.0)
+    tracer = tracing.Tracer()
+    t0 = perf_counter()
+    with tracer.installed(mods, tracing.layers_table(DEGENERATE_INTG)):
+        inc = gen_increments(grid, model.rho, seed=3, n_paths=16)
+        greeks.make_bundle(model, market, grid, inc, with_dh=True)
+        oracles.fd_greek("hsens", model, market, opt, grid, 16, seed=3)
+    wall = perf_counter() - t0
+    # every wrapped name is put back
+    assert greeks.make_bundle is models.make_bundle and paths.convolve_kernel.__module__ == paths.__name__
+    conv = [s for s in tracer.spans if s.name == "paths.convolve_kernel"]
+    assert len(conv) == 4  # Y and dY/dH of the bundle, the two H-bumped Y of the oracle
+    assert all(s.work["flop"] == 2.0 * 16 * 1100 * 1101 for s in conv)
+    metrics, checks = tracing.layer_metrics(tracer.spans, wall)
+    assert metrics["paths.conv_calls"][0] == 4 and metrics["paths.conv_gflop"][0] > 0.0
+    assert metrics["kernel.matrix_builds"][0] == 4
+    assert len(checks) == 2 and all(ok for _, ok, _ in checks), checks

@@ -289,6 +289,31 @@ def test_converge_requires_schedule_and_one_kind(tmp_path, capsys):
     assert "task.kinds" in capsys.readouterr().err
 
 
+def test_converge_rejects_oracles(tmp_path, capsys):
+    # oracle rows exist for greek only; converge used to drop them silently
+    cfg = BS_CFG.replace("oracles = fd, bs", "oracles = fd\nns_schedule = 500, 1000")
+    assert main(["converge", "--config", _write(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "task.oracles" in captured.err
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "is_dir"])
+def test_bad_out_is_config_error_before_simulation(tmp_path, monkeypatch, capsys, where):
+    import volterra_greeks.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr(cli, "estimate_many", no_run)
+    out = tmp_path / "missing" / "x.csv" if where == "missing_dir" else tmp_path
+    assert main(["price", "--config", _write(tmp_path, BS_CFG), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--out" in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_same_seed_same_bytes(tmp_path):
     cfg = _write(tmp_path, BS_CFG)
     outs = []

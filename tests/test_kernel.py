@@ -138,6 +138,39 @@ def test_kernel_matrix_strictly_lower_triangular():
             assert dmat[i, j] == kernel_dh(spec, times[i], times[j])
 
 
+@pytest.mark.parametrize("T,n", [(0.7, 100), (2.5, 1500)])
+@pytest.mark.parametrize("H", [0.07, 0.3, 0.8])
+@pytest.mark.parametrize("eps", [0.0, 1e-4])
+def test_kernel_matrices_are_toeplitz_and_match_pointwise(T, n, H, eps):
+    # the matrices are gathered from one kernel value per lag; t_i - t_j and
+    # t_{i-j} round differently, so the match is close, not bit for bit
+    spec = KernelSpec(H=H, eps=eps)
+    times = np.arange(n + 1) * (T / n)
+    i, j = np.tril_indices(n + 1, -1, n)  # every j < i
+    kmat = kernel_matrix(spec, times)
+    dmat = kernel_dh_matrix(spec, times)
+    for m in (kmat, dmat):
+        assert m.shape == (n + 1, n) and m.flags.c_contiguous
+        assert np.array_equal(m[i, j], m[i - j, 0])  # depends on the lag only
+        assert np.count_nonzero(m[np.triu_indices(n + 1, 0, n)]) == 0
+    k_ref = kernel_eval(spec, times[i], times[j])
+    assert np.allclose(kmat[i, j], k_ref, rtol=1e-13, atol=0.0)
+    # dK/dH = K (1/(2H) + log x) changes sign at x = exp(-1/(2H)), where an
+    # elementwise relative gap is unbounded; measure it against the size of
+    # the two terms instead
+    x = times[i] - times[j] + eps
+    scale = k_ref * (0.5 / H + np.abs(np.log(x)))
+    assert np.all(np.abs(dmat[i, j] - kernel_dh(spec, times[i], times[j])) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("build", [kernel_matrix, kernel_dh_matrix])
+def test_kernel_matrices_reject_non_uniform_times(build):
+    spec = KernelSpec(H=0.3, eps=1e-4)
+    for times in ([0.0, 0.1, 0.5, 0.6, 1.0], [0.0, 0.5, 0.25, 0.75], [1.0, 0.75, 0.5, 0.25, 0.0]):
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            build(spec, np.array(times))
+
+
 @pytest.mark.parametrize("H,eps", [(0.14, 1e-6), (0.3, 0.0), (0.5, 0.0), (0.8, 1e-3)])
 def test_cell_variance_weights_telescope(H, eps):
     # dt * sum_j w_ij^2 telescopes to r(t_i) by construction

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from volterra_greeks import greeks, paths
-from volterra_greeks.kernel import KernelSpec, kernel_eval, kernel_variance
+from volterra_greeks.kernel import KernelSpec, kernel_eval, kernel_matrix, kernel_variance
 from volterra_greeks.paths import (
     TimeGrid,
+    convolve_kernel,
     gen_increments,
     volterra_dh_path,
     volterra_path,
@@ -117,6 +118,49 @@ def test_two_step_path_unrolled():
     assert y[2] == pytest.approx(want, rel=1e-14)
 
 
+def _dense(kmat, dz):
+    y = dz @ kmat.T
+    y[..., 0] = 0.0
+    return y
+
+
+def _conv_case(n, seed):
+    kmat = kernel_matrix(KernelSpec(H=0.14, eps=1e-6), TimeGrid(T=1.0, n=n).times)
+    rng = np.random.default_rng(seed)
+    return kmat, (rng.standard_normal(n), rng.standard_normal((5, n)))
+
+
+@pytest.mark.parametrize("n", [1, 7, 256, 512])
+def test_convolve_kernel_is_dense_product_up_to_512(n):
+    kmat, dzs = _conv_case(n, n)
+    for dz in dzs:
+        assert np.array_equal(convolve_kernel(kmat, dz), _dense(kmat, dz))
+
+
+@pytest.mark.parametrize("n", [513, 1025, 1500, 2048])
+def test_row_blocked_convolve_kernel_matches_dense(n):
+    # ceil(n / 512) row blocks, each skipping the zero columns right of it
+    kmat, dzs = _conv_case(n, n)
+    for dz in dzs:
+        got, want = convolve_kernel(kmat, dz), _dense(kmat, dz)
+        assert got.shape == want.shape == dz.shape[:-1] + (n + 1,)
+        assert np.all(got[..., 0] == 0.0)
+        # relative to the sum of the absolute terms of each dot product
+        assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(dz) @ np.abs(kmat).T))
+
+
+def test_convolve_kernel_is_causal_across_row_blocks():
+    n = 1500  # three row blocks, with edges near 500 and 1000
+    kmat, (_, dz) = _conv_case(n, 3)
+    y = convolve_kernel(kmat, dz)
+    for j in (0, 498, 499, 500, 501, 999, 1000, 1001, 1499):
+        bumped = dz.copy()
+        bumped[:, j] += 1.0
+        moved = convolve_kernel(kmat, bumped) != y
+        assert not moved[:, : j + 1].any()
+        assert moved[:, j + 1 :].all()
+
+
 def test_shape_mismatch_rejected():
     g = TimeGrid(T=1.0, n=8)
     inc = gen_increments(TimeGrid(T=1.0, n=4), rho=0.0, seed=0)
@@ -124,6 +168,10 @@ def test_shape_mismatch_rejected():
         volterra_path(KernelSpec(H=0.3, eps=0.0), g, inc)
     with pytest.raises(ValueError):
         volterra_dh_path(KernelSpec(H=0.3, eps=0.0), g, inc)
+    kmat, _ = _conv_case(600, 0)  # two row blocks; neither may drop a trailing cell
+    for cells in (599, 601):
+        with pytest.raises(ValueError):
+            convolve_kernel(kmat, np.zeros((2, cells)))
 
 
 @pytest.mark.parametrize("cell_integrated", [False, True])
