@@ -218,6 +218,10 @@ def _variant_of(kind: str, cfg: RunConfig) -> Optional[str]:
 
 
 def cmd_price(cfg: RunConfig) -> tuple:
+    if cfg.oracles:
+        raise ConfigError(f"task.oracles: price runs no oracles (greek does), got {list(cfg.oracles)}")
+    if cfg.ns_schedule:
+        raise ConfigError(f"task.ns_schedule: price takes no schedule (converge does), got {list(cfg.ns_schedule)}")
     t0 = time.perf_counter()
     est = estimate_many(
         [("price", None)], cfg.model, cfg.market, cfg.option, cfg.grid,

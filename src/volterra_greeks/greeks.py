@@ -218,7 +218,7 @@ def _reduce(kind, variant, x, valid, confidence) -> GreekEstimate:
     )
 
 
-def _validate_run(opt, grid, n_paths, seed, confidence):
+def _validate_run(opt, grid, n_paths, seed, confidence, workers):
     if opt.maturity != grid.T:
         raise ValueError(f"option maturity {opt.maturity} must equal the grid horizon {grid.T}")
     if n_paths < 2:
@@ -227,6 +227,8 @@ def _validate_run(opt, grid, n_paths, seed, confidence):
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def estimate_many(
@@ -246,7 +248,7 @@ def estimate_many(
     default to the 'derived' variant.
     """
     tasks = _normalize_tasks(tasks)
-    _validate_run(opt, grid, n_paths, seed, confidence)
+    _validate_run(opt, grid, n_paths, seed, confidence, workers)
     samples = _all_task_samples(tasks, model, market, opt, grid, n_paths, seed, workers)
     return [_reduce(k, v, *samples[(k, v)], confidence) for k, v in tasks]
 
@@ -291,7 +293,7 @@ def converge(
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 2:
         raise ValueError("ns_schedule must be strictly increasing with entries >= 2")
     tasks = _normalize_tasks([(kind, variant)])
-    _validate_run(opt, grid, ns[-1], seed, confidence)
+    _validate_run(opt, grid, ns[-1], seed, confidence, workers)
     samples = _all_task_samples(tasks, model, market, opt, grid, ns[-1], seed, workers)
     x, valid = samples[tasks[0]]
     return [_reduce(tasks[0][0], tasks[0][1], x[:m], valid[:m], confidence) for m in ns]

@@ -184,7 +184,7 @@ def fd_greek(
     for kind in kinds:
         if kind not in _FD_PARAM:
             raise ValueError(f"kind must be one of {sorted(_FD_PARAM)}, got {kind!r}")
-    _validate_run(opt, grid, n_paths, seed, confidence)
+    _validate_run(opt, grid, n_paths, seed, confidence, workers)
     if bump is not None and all(_FD_PARAM[k] != bump.parameter for k in kinds):
         bumped = sorted({_FD_PARAM[k] for k in kinds})
         raise ValueError(f"kinds {kinds} bump {bumped}, got a bump for {bump.parameter!r}")

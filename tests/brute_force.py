@@ -8,8 +8,11 @@ model's definition,
 
 and the left-point quadratures of intG and iintDsG over them.  The
 library gets the same statistics in O(n) per path from each model's
-chain-rule profiles; the tests compare the two.
+chain-rule profiles; the tests compare the two.  stream2_increments is
+the serial definition of the Brownian increments (RNG stream 2).
 """
+
+import math
 
 import numpy as np
 
@@ -165,3 +168,23 @@ def compute_iintDsG_generic(model, grid, bundle, dv, iddv=None) -> float:
     stoch = ((spp * ii * ii + sp * dd) * dw).sum()
     drift = dt * (((sp * sp + spp * sig) * ii * ii) + sp * sig * dd).sum()
     return float(lead + stoch - drift)
+
+
+def stream2_increments(grid, rho: float, seed: int, n_paths: int, start: int = 0):
+    """(dW, dWt, dZ) of paths [start, start + n_paths), one whole block at a time.
+
+    Path p is row p % 256 of the (256, 2, n) standard normals of the
+    generator keyed by (seed, p // 256), scaled by sqrt(dt); dZ = rho dW +
+    sqrt(1 - rho^2) dWt.
+    """
+    stop = start + n_paths
+    rows = []
+    for b in range(start // 256, (stop - 1) // 256 + 1):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
+        block = rng.standard_normal((256, 2, grid.n))
+        rows.append(block[max(start - 256 * b, 0) : min(stop - 256 * b, 256)])
+    z = np.concatenate(rows)
+    z *= math.sqrt(grid.dt)
+    dW, dWt = z[:, 0, :], z[:, 1, :]
+    dZ = rho * dW + math.sqrt(1.0 - rho * rho) * dWt
+    return dW, dWt, dZ

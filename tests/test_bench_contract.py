@@ -65,3 +65,29 @@ def test_traced_fine_grid_run_counts_blocked_convolutions():
     assert metrics["paths.conv_calls"][0] == 4 and metrics["paths.conv_gflop"][0] > 0.0
     assert metrics["kernel.matrix_builds"][0] == 4
     assert len(checks) == 2 and all(ok for _, ok, _ in checks), checks
+
+
+def test_traced_run_sees_one_draw_span_per_chunk_with_threaded_fills(monkeypatch):
+    # the Tracer's span stack is not thread-safe: the block fills on the
+    # pool must never call a wrapped name, so each chunk's draw is one span
+    tracing = _tracing()
+    mods = {"cli": cli, "greeks": greeks, "kernel": kernel, "models": models,
+            "oracles": oracles, "paths": paths, "weights": weights}
+    monkeypatch.setattr(paths, "_PARALLEL_STEPS", 0)  # every chunk's fill takes the pool
+    monkeypatch.setattr(paths, "_cpu_count", lambda: 3)
+    grid = TimeGrid(T=1.0, n=256)
+    model = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.05, kernel=KernelSpec(H=0.14))
+    market, opt = MarketSpec(s0=100.0, r=0.05), OptionSpec(strike=100.0, maturity=1.0)
+    n_paths = greeks._CHUNK + 1024  # two chunks
+    tracer = tracing.Tracer()
+    t0 = perf_counter()
+    with tracer.installed(mods, tracing.layers_table(DEGENERATE_INTG)):
+        greeks.estimate_many(["delta", "hsens"], model, market, opt, grid, n_paths, seed=5)
+        oracles.fd_greek("hsens", model, market, opt, grid, n_paths, seed=5)
+    wall = perf_counter() - t0
+    draws = [s for s in tracer.spans if s.name == "paths.gen_increments"]
+    assert [tracer.spans[s.parent].name for s in draws] == ["greeks.estimate_many"] * 2 + ["oracles.fd_greek"] * 2
+    assert [s.work["normals"] for s in draws] == [2 * 256 * greeks._CHUNK, 2 * 256 * 1024] * 2
+    metrics, checks = tracing.layer_metrics(tracer.spans, wall)
+    assert metrics["paths.rng_calls"][0] == 4
+    assert len(checks) == 2 and all(ok for _, ok, _ in checks), checks

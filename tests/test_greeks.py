@@ -82,6 +82,13 @@ def test_run_validation():
         estimate_many(["price", "delta"], BS_MODEL, BS_MKT, OPT, GRID, 100, seed=-1)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         converge("delta", BS_MODEL, BS_MKT, OPT, GRID, [10, 100], seed=-1)
+    # the CLI rejects a worker count below 1; the library used to run it anyway
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        estimate("delta", BS_MODEL, BS_MKT, OPT, GRID, 100, seed=0, workers=0)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        estimate_many(["price", "delta"], BS_MODEL, BS_MKT, OPT, GRID, 100, seed=0, workers=-3)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        converge("delta", BS_MODEL, BS_MKT, OPT, GRID, [10, 100], seed=0, workers=0)
 
 
 def test_estimate_interval_shape():

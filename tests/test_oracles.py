@@ -94,6 +94,9 @@ def test_fd_validation():
         fd_greek(["delta", "price"], bs, mkt, OPT, GRID, 100, seed=0)
     with pytest.raises(ValueError, match="got a bump for 'H'"):
         fd_greek(["delta", "gamma", "rho"], bs, mkt, OPT, GRID, 100, seed=0, bump=BumpSpec("H", 1e-3, True))
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            fd_greek("delta", bs, mkt, OPT, GRID, 100, seed=0, workers=workers)
 
 
 @pytest.mark.parametrize("kind", ["delta", "gamma", "vega", "rho"])

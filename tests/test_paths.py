@@ -1,7 +1,10 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from brute_force import stream2_increments
 
 from volterra_greeks import greeks, paths
 from volterra_greeks.kernel import KernelSpec, kernel_eval, kernel_matrix, kernel_variance
@@ -96,6 +99,56 @@ def test_rng_stream_2_golden_values():
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2024, spawn_key=(1,))))
     z = rng.standard_normal((256, 2, 4))
     assert np.array_equal(inc.dW[0], 0.5 * z[44, 0]) and np.array_equal(inc.dWt[0], 0.5 * z[44, 1])
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Record the thread count of every pool gen_increments creates."""
+    sizes = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(paths, "ThreadPoolExecutor", CountingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("rho", [-1.0, -0.05, 0.0, 0.7])
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_increments_equal_the_serial_stream_2_reference(monkeypatch, pools, cpus, rho):
+    # with the size floor at 0 every multi-block call takes the pool when
+    # cpus > 1 (3 threads oversubscribe a 2-core host); the draws, the
+    # sqrt(dt) scaling and the dZ mixing must equal the serial definition
+    monkeypatch.setattr(paths, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(paths, "_PARALLEL_STEPS", 0)
+    ranges = [(0, 1), (255, 2), (100, 1000), (8192, 1024)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (1, 64, 512, 2048):
+            g = TimeGrid(T=1.0, n=n)
+            # the 9216-path run (two estimator chunks) only where it stays small
+            for start, n_paths in ranges + [(0, 9216)] * (n <= 64):
+                inc = gen_increments(g, rho, seed=17, n_paths=n_paths, start=start)
+                dw, dwt, dz = stream2_increments(g, rho, 17, n_paths, start)
+                assert np.array_equal(inc.dW, dw) and np.array_equal(inc.dWt, dwt)
+                assert np.array_equal(inc.dZ, dz)
+    finally:
+        sys.setswitchinterval(interval)
+    if cpus == 1:
+        assert pools == []
+    else:
+        assert set(pools) == {2, 3}  # min(cpus, blocks): (255, 2) spans two blocks
+
+
+def test_only_large_draws_fill_blocks_on_a_pool(monkeypatch, pools):
+    monkeypatch.setattr(paths, "_cpu_count", lambda: 2)
+    gen_increments(TimeGrid(T=1.0, n=64), 0.3, seed=1, n_paths=8192)  # 2^19 path-steps
+    assert pools == []
+    gen_increments(TimeGrid(T=1.0, n=128), 0.3, seed=1, n_paths=8192)  # 2^20
+    assert pools == [2]
 
 
 def test_h_half_path_is_cumsum():
