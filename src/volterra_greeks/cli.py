@@ -4,7 +4,9 @@ Configuration is flat INI (key = value in named sections): [model] kind
 plus the model's dataclass fields (a kernel field reads h, or hp for the
 second kernel of the mixed model), [market] s0/r, [option] k/t/payoff,
 [numerics] n_steps/n_paths/seed/confidence/epsilon/workers, [task]
-kinds/variant/oracles/ns_schedule; any other key is a config error.
+kinds/variant/oracles/ns_schedule; any other key is a config error, and
+so is a [task] key the command does not use (price uses none of them,
+greek no ns_schedule, converge no oracles).
 Output is CSV only, UTF-8, first line `# volterra-greeks v1 schema; rng
 stream 2` (paths.RNG_STREAM); plotting is left to external tools.
 
@@ -83,7 +85,7 @@ class RunConfig:
     confidence: float = 0.99
     workers: int = 1
     kinds: Sequence[str] = ()
-    variant: str = "derived"
+    variant: Optional[str] = None  # None when the file does not set it: the library default applies
     oracles: Sequence[str] = ()
     ns_schedule: Sequence[int] = ()
 
@@ -186,9 +188,11 @@ def load_config(path: str) -> RunConfig:
     for k in kinds:
         if k not in GREEK_KINDS:
             raise ConfigError(f"task.kinds: unknown kind {k!r}")
-    variant = _raw(cp, "task", "variant", "derived").strip().lower()
-    if variant not in ("literal", "derived"):
-        raise ConfigError(f"task.variant: expected literal or derived, got {variant!r}")
+    variant = _raw(cp, "task", "variant", None)
+    if variant is not None:
+        variant = variant.strip().lower()
+        if variant not in ("literal", "derived"):
+            raise ConfigError(f"task.variant: expected literal or derived, got {variant!r}")
     oracles = tuple(o.lower() for o in _list(_raw(cp, "task", "oracles", "")))
     for o in oracles:
         if o not in ("fd", "bs"):
@@ -218,6 +222,11 @@ def _variant_of(kind: str, cfg: RunConfig) -> Optional[str]:
 
 
 def cmd_price(cfg: RunConfig) -> tuple:
+    if cfg.kinds:
+        raise ConfigError(f"task.kinds: price estimates the price only (greek and converge take kinds), "
+                          f"got {list(cfg.kinds)}")
+    if cfg.variant is not None:
+        raise ConfigError(f"task.variant: price has no gamma or rho to choose a variant for, got {cfg.variant!r}")
     if cfg.oracles:
         raise ConfigError(f"task.oracles: price runs no oracles (greek does), got {list(cfg.oracles)}")
     if cfg.ns_schedule:
@@ -243,6 +252,8 @@ def cmd_greek(cfg: RunConfig) -> tuple:
     for k in kinds:
         if k not in _SENS_KINDS:
             raise ConfigError(f"task.kinds: {k!r} is not a sensitivity kind (use the price command)")
+    if cfg.ns_schedule:
+        raise ConfigError(f"task.ns_schedule: greek takes no schedule (converge does), got {list(cfg.ns_schedule)}")
     t0 = time.perf_counter()
 
     def elapsed_ms():

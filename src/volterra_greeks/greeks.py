@@ -21,25 +21,36 @@ in the derived gamma is int_0^T D_t pi dt expanded as
 T/intG - W_T iintDsG / intG^2 + C / intG^2 - 2 iintDsG^2 / intG^3 with
 C the triple D_sG integral.
 
+Layout of a run: the paths are drawn in chunks of 8192 (one
+gen_increments call each, the chunks optionally on worker threads), and
+each chunk's vol paths, prices and weights are computed in tiles of 1024
+paths, one after another, so a chunk's peak memory is its draw plus one
+tile.  Each distinct kernel matrix is built once per call.
+
 Determinism: path p is row p % 256 of the substream keyed by (seed,
-p // 256) (RNG stream 2), samples go into a path-indexed array, and all
-reductions run over it in a fixed pairwise order, so estimates are
-bit-identical for a given (seed, config) under any worker count or
-batching, and runs with larger n_paths extend smaller ones.
+p // 256) (RNG stream 2), and chunks and tiles start on multiples of 256
+paths, where the convolution groups its BLAS products (see
+paths.convolve_kernel), so every per-path sample depends on that path's
+draws alone.  Samples go into a path-indexed array and all reductions run
+over it in a fixed pairwise order, so estimates are bit-identical for a
+given (seed, config) under any worker count, chunk or tile size, and runs
+with larger n_paths extend smaller ones (on fine grids up to the rounding
+of the smaller run's last group, when n_paths is not a multiple of 256).
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.stats import norm
 
-from .models import MarketSpec, ModelSpec, PathBundle, make_bundle
-from .paths import TimeGrid, gen_increments
+from .models import MarketSpec, ModelSpec, PathBundle, kernel_cache, make_bundle
+from .paths import DriverIncrements, TimeGrid, gen_increments
 from .weights import (
     DEGENERATE_INTG,
     assemble_delta_weight,
@@ -63,7 +74,8 @@ __all__ = [
 GREEK_KINDS = ("price", "delta", "gamma", "rho", "vega", "hsens")
 _VARIANT_KINDS = ("gamma", "rho")
 DEFAULT_VARIANT = "derived"
-_CHUNK = 8192
+_CHUNK = 8192  # paths per draw (gen_increments call)
+_TILE = 1024  # paths per vol path, pricing and weight pass; four RNG blocks, divides _CHUNK
 
 
 class NumericalFailureError(RuntimeError):
@@ -172,12 +184,26 @@ def _task_samples(tasks, model, market, opt, grid, bundle: PathBundle):
 
 
 def _run_chunks(n_paths: int, workers: int, fn):
-    """Run fn(start, stop) over fixed chunks, results in path order."""
+    """Run fn(start, stop) over fixed chunks, results in path order.
+
+    The whole run is one kernel_cache() block, so each distinct kernel
+    matrix is built once per call; worker threads see it through a copy
+    of this thread's context.
+    """
     ranges = [(s, min(s + _CHUNK, n_paths)) for s in range(0, n_paths, _CHUNK)]
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda r: fn(*r), ranges))
-    return [fn(*r) for r in ranges]
+    with kernel_cache():
+        if workers > 1 and len(ranges) > 1:
+            contexts = [copy_context() for _ in ranges]
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(lambda c, r: c.run(fn, *r), contexts, ranges))
+        return [fn(*r) for r in ranges]
+
+
+def _tiles(inc: DriverIncrements):
+    """Row slices of inc, _TILE paths each (the last may be shorter), in path order."""
+    for lo in range(0, inc.dZ.shape[0], _TILE):
+        rows = slice(lo, lo + _TILE)
+        yield DriverIncrements(dW=inc.dW[rows], dWt=inc.dWt[rows], dZ=inc.dZ[rows], rho=inc.rho)
 
 
 def _all_task_samples(tasks, model, market, opt, grid, n_paths, seed, workers):
@@ -185,16 +211,16 @@ def _all_task_samples(tasks, model, market, opt, grid, n_paths, seed, workers):
 
     def chunk(start, stop):
         inc = gen_increments(grid, model.rho, seed, stop - start, start)
-        bundle = make_bundle(model, market, grid, inc, with_dh=with_dh)
-        return _task_samples(tasks, model, market, opt, grid, bundle)
+        return [
+            _task_samples(tasks, model, market, opt, grid, make_bundle(model, market, grid, tile, with_dh=with_dh))
+            for tile in _tiles(inc)
+        ]
 
-    chunks = _run_chunks(n_paths, workers, chunk)
-    out = {}
-    for key in chunks[0]:
-        x = np.concatenate([c[key][0] for c in chunks])
-        valid = np.concatenate([c[key][1] for c in chunks])
-        out[key] = (x, valid)
-    return out
+    tiles = [t for c in _run_chunks(n_paths, workers, chunk) for t in c]
+    return {
+        key: (np.concatenate([t[key][0] for t in tiles]), np.concatenate([t[key][1] for t in tiles]))
+        for key in tiles[0]
+    }
 
 
 def _reduce(kind, variant, x, valid, confidence) -> GreekEstimate:

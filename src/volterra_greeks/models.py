@@ -45,7 +45,10 @@ supply raise UnsupportedError.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -179,22 +182,60 @@ def _exp_factor(v0, xi, alpha, kernel, grid, y):
     return v
 
 
+# the kernel_cache() dict of the current call; unset outside one
+_KERNELS: ContextVar[dict] = ContextVar("volterra_greeks_kernels")
+_KERNELS_LOCK = threading.Lock()  # one build per key when chunks run on several threads
+
+
+@contextlib.contextmanager
+def kernel_cache():
+    """Within the block, each distinct kernel matrix is built once.
+
+    _convolve keys its matrices by (builder, KernelSpec, TimeGrid), all
+    immutable, and keeps them until the block exits.  The cache lives in
+    a context variable: threads reach it through a copy of the caller's
+    context (greeks._run_chunks), and concurrent blocks in other threads
+    keep their own.
+    """
+    token = _KERNELS.set({})
+    try:
+        yield
+    finally:
+        _KERNELS.reset(token)
+
+
+def _kernel_weights(build, kernel: KernelSpec, grid: TimeGrid):
+    """W = build(kernel, times) and its row integrals dt W.sum(axis=1), read-only.
+
+    Built once per kernel_cache() block, on every call outside one.
+    """
+    cache, key = _KERNELS.get({}), (build, kernel, grid)
+    with _KERNELS_LOCK:
+        if key not in cache:
+            w = build(kernel, grid.times)
+            row_int = grid.dt * w.sum(axis=1)
+            w.flags.writeable = row_int.flags.writeable = False  # shared by every tile of the call
+            cache[key] = w, row_int
+        return cache[key]
+
+
 def _convolve(build, kernel: KernelSpec, grid: TimeGrid, inc: DriverIncrements):
     """Left-point convolution of dZ with W = build(kernel, times), and dt W.sum(axis=1).
 
     With build = kernel_matrix these are the Volterra path Y and the kernel
     row integrals kappa_hat_i = dt sum_{j<i} K(t_i, t_j); with
     kernel_dh_matrix, dY/dH and the row integrals of dK/dH.  Both come from
-    one matrix, built once per chunk.  The constant H = 1/2, eps = 0 kernel
-    keeps volterra_path's exact running sum, so the results equal those of
-    volterra_path and volterra_dh_path bit for bit.
+    one matrix, built once per kernel_cache() block (on every call outside
+    one).  The constant H = 1/2, eps = 0 kernel keeps volterra_path's
+    exact running sum, so the results equal those of volterra_path and
+    volterra_dh_path bit for bit.
     """
-    w = build(kernel, grid.times)
+    w, row_int = _kernel_weights(build, kernel, grid)
     if build is kernel_matrix and kernel.H == 0.5 and kernel.eps == 0.0:
         y = volterra_path(kernel, grid, inc).Y
     else:
         y = paths.convolve_kernel(w, inc.dZ)
-    return y, grid.dt * w.sum(axis=1)
+    return y, row_int
 
 
 @dataclass(frozen=True)
@@ -249,9 +290,14 @@ class AlphaRFSV(_Model):
         if which == "H":
             if "dydh" not in b.aux:
                 raise ValueError("bundle was built without with_dh=True")
-            rdh = kernel_variance_dh(self.kernel, grid.times)
-            a = b.V * (self.xi * b.aux["dydh"] - 0.5 * self.alpha * self.xi**2 * rdh)
-            return a, rx * (a * b.aux["kappa_hat"] + b.V * b.aux["kappa_hat_dh"])
+            # a and its inner integral each in one buffer, with the same arithmetic
+            a = np.multiply(self.xi, b.aux["dydh"])
+            a -= 0.5 * self.alpha * self.xi**2 * kernel_variance_dh(self.kernel, grid.times)
+            a *= b.V
+            ida = a * b.aux["kappa_hat"]
+            ida += b.V * b.aux["kappa_hat_dh"]
+            ida *= rx
+            return a, ida
         raise ValueError(f"which must be 'v0' or 'H', got {which!r}")
 
     def bs_sigma(self):
@@ -337,7 +383,7 @@ class RoughSteinStein(_StaticDV):
 
     def path(self, grid, inc):
         """V_i = v0 + kappa sum_{j<i} (theta - V_j) dt + nu Y_i, left point."""
-        y = volterra_path(self.kernel, grid, inc).Y
+        y = _convolve(kernel_matrix, self.kernel, grid, inc)[0]
         v = np.empty_like(y)
         v[..., 0] = self.v0
         drift = np.zeros(y.shape[:-1])

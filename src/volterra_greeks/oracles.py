@@ -10,7 +10,9 @@ Two oracles, both free of any Malliavin machinery:
     the per-path difference quotients are low-variance samples of the
     bump-and-reprice Greek.  An H bump rebuilds the kernel against the
     unchanged driver increments.  Several kinds share one pass, which
-    prices each distinct bumped setup once.
+    prices each distinct bumped setup once.  Like the estimators, the
+    pass draws each 8192-path chunk once and prices it in 1024-path
+    tiles, with each kernel matrix built once per call.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.stats import norm
 
-from .greeks import GreekEstimate, OptionSpec, _reduce, _run_chunks, _validate_run, payoff
+from .greeks import GreekEstimate, OptionSpec, _reduce, _run_chunks, _tiles, _validate_run, payoff
 from .models import MarketSpec, ModelSpec, UnsupportedError, price_path, vol_path
 from .paths import TimeGrid, gen_increments
 
@@ -165,10 +167,10 @@ def fd_greek(
 
     kinds is one kind, which returns one GreekEstimate, or a sequence of
     kinds, which returns a list of estimates in the same order from one
-    pass over the paths: per chunk the increments are drawn once, one vol
-    path is built per distinct bumped model (s0 and r bumps share the
-    unbumped one) and each distinct (model, market) setup is priced once.
-    The estimates equal those of one call per kind.
+    pass over the paths: per chunk the increments are drawn once; per
+    tile of the chunk one vol path is built per distinct bumped model (s0
+    and r bumps share the unbumped one) and each distinct (model, market)
+    setup is priced once.  The estimates equal those of one call per kind.
 
     Central differences by default; the rate falls back to a forward
     difference when r - h would leave the domain.  gamma uses the
@@ -206,13 +208,15 @@ def fd_greek(
         prices = {}
         for k, by_model in draws.items():
             inc = gen_increments(grid, model.rho, seed, stop - start, k * n_paths + start)
-            for md, markets in by_model.items():
-                v = vol_path(md, grid, inc)[0]
-                for mk in markets:
-                    st = price_path(mk, md, grid, v, inc.dW)
-                    prices[k, md, mk] = math.exp(-mk.r * opt.maturity) * payoff(opt, st)
-                del v  # one vol path (and one draw) alive at a time
+            for tile in _tiles(inc):
+                for md, markets in by_model.items():
+                    v = vol_path(md, grid, tile)[0]
+                    for mk in markets:
+                        st = price_path(mk, md, grid, v, tile.dW)
+                        prices.setdefault((k, md, mk), []).append(math.exp(-mk.r * opt.maturity) * payoff(opt, st))
+                    del v  # one tile's vol path (and one draw) alive at a time
             del inc
+        prices = {key: np.concatenate(parts) for key, parts in prices.items()}
         return [quotient(*(prices[key] for key in keys)) for keys, quotient in plans]
 
     ests = []

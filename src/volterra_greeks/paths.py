@@ -33,7 +33,7 @@ import numpy as np
 from .kernel import KernelSpec, cell_variance_matrix, kernel_dh_matrix, kernel_matrix
 
 RNG_STREAM = 2  # version of the (seed, path index) -> draws map, in the CLI schema line
-_BLOCK = 256  # paths per substream; divides greeks._CHUNK
+_BLOCK = 256  # paths per substream and per convolution product; divides greeks._TILE
 _ROW_BLOCK = 512  # grids with n above this convolve in row blocks; smaller ones in one product
 _PARALLEL_STEPS = 1 << 20  # draws of at least this many path-steps fill their blocks on threads
 
@@ -146,19 +146,26 @@ def gen_increments(
 def convolve_kernel(kmat: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """Apply the lower-triangular kernel weights: Y = dz @ kmat.T, Y_0 = 0.
 
-    kmat is (n+1) x n and zero on and above its diagonal.  Its rows are
-    split into ceil(n / 512) near-equal blocks of about 512 rows, and each
-    block takes only the columns below its last row, so the zero upper
-    blocks are never multiplied.  For n <= 512 that is one dense product.
+    kmat is (n+1) x n and zero on and above its diagonal.  The paths go
+    through it 256 at a time, since BLAS rounds a row differently
+    depending on how many rows share a product: so a path's Y does not
+    depend on how many paths the call holds, as long as the call starts
+    on a multiple of 256 paths and the path is not in a short last group.
+    For each group the rows of kmat are split into ceil(n / 512)
+    near-equal blocks of about 512 rows, and each block takes only the
+    columns below its last row, so the zero upper blocks are never
+    multiplied.  For n <= 512 that is one dense product per group.
     """
     rows, n = kmat.shape
     if dz.shape[-1] != n:
         raise ValueError(f"increments have {dz.shape[-1]} cells, the kernel matrix {n}")
     y = np.empty(dz.shape[:-1] + (rows,))
+    dz2, y2 = dz.reshape(-1, n), y.reshape(-1, rows)
     blocks = -(-n // _ROW_BLOCK)
-    for b in range(blocks):
-        lo, hi = b * rows // blocks, (b + 1) * rows // blocks
-        np.matmul(dz[..., : hi - 1], kmat[lo:hi, : hi - 1].T, out=y[..., lo:hi])
+    for p in range(0, dz2.shape[0], _BLOCK):
+        for b in range(blocks):
+            lo, hi = b * rows // blocks, (b + 1) * rows // blocks
+            np.matmul(dz2[p : p + _BLOCK, : hi - 1], kmat[lo:hi, : hi - 1].T, out=y2[p : p + _BLOCK, lo:hi])
     y[..., 0] = 0.0
     return y
 

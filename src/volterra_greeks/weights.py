@@ -124,7 +124,9 @@ def assemble_vega_numerator(
     a, ida = model.dtheta(grid, bundle, which)
     v, idv = w.sigma, w.g1
     an, dan, dw = a[..., :-1], ida[..., :-1], bundle.inc.dW
-    n_num = -dt * (v * an).sum(axis=-1) + (an * dw).sum(axis=-1)
+    prod = v * an  # one buffer for both products; the pairwise sums keep the exact identities at xi = 0
+    n_num = -dt * prod.sum(axis=-1)
+    n_num += np.multiply(an, dw, out=prod).sum(axis=-1)
     int_dn = dt * an.sum(axis=-1) + _dot(dan, dw) - dt * (_dot(idv, an) + _dot(v, dan))
     return n_num, int_dn
 

@@ -2,14 +2,17 @@
 
 perfbench/tracing.py lists every (module, attribute) it replaces for the
 per-layer spans; a name renamed or removed in the package would crash
-`perfbench/run.py --trace 1`.  This checks each one resolves, and that a
+`perfbench/run.py --trace 1`.  This checks each one resolves, that a
 traced fine-grid run (several convolution row blocks) still gives every
-convolution a flop count and passes the trace's own checks.
+convolution a flop count and passes the trace's own checks, and that a
+traced two-chunk run draws once per chunk and builds each kernel matrix
+once per call while its tiles run.
 """
 
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
@@ -90,4 +93,38 @@ def test_traced_run_sees_one_draw_span_per_chunk_with_threaded_fills(monkeypatch
     assert [s.work["normals"] for s in draws] == [2 * 256 * greeks._CHUNK, 2 * 256 * 1024] * 2
     metrics, checks = tracing.layer_metrics(tracer.spans, wall)
     assert metrics["paths.rng_calls"][0] == 4
+    assert len(checks) == 2 and all(ok for _, ok, _ in checks), checks
+
+
+def test_traced_tiled_run_draws_once_per_chunk_and_builds_each_matrix_once_per_call():
+    tracing = _tracing()
+    mods = {"cli": cli, "greeks": greeks, "kernel": kernel, "models": models,
+            "oracles": oracles, "paths": paths, "weights": weights}
+    grid = TimeGrid(T=1.0, n=64)
+    model = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.05, kernel=KernelSpec(H=0.14))
+    market, opt = MarketSpec(s0=100.0, r=0.05), OptionSpec(strike=100.0, maturity=1.0)
+    n_paths = greeks._CHUNK + 1024  # two chunks, 8 + 1 tiles
+    tracer = tracing.Tracer()
+    t0 = perf_counter()
+    with tracer.installed(mods, tracing.layers_table(DEGENERATE_INTG)):
+        greeks.estimate_many(["delta", "hsens"], model, market, opt, grid, n_paths, seed=5)
+        oracles.fd_greek(["delta", "hsens"], model, market, opt, grid, n_paths, seed=5)
+    wall = perf_counter() - t0
+    spans = tracer.spans
+
+    def call_of(span):  # the top-level call a span belongs to
+        while span.parent >= 0:
+            span = spans[span.parent]
+        return span.name
+
+    def per_call(name):
+        return Counter(call_of(s) for s in spans if s.name == name)
+
+    assert per_call("paths.gen_increments") == {"greeks.estimate_many": 2, "oracles.fd_greek": 2}
+    # K and dK/dH for the estimates; K, K(H + h) and K(H - h) for the FD pass
+    assert per_call("kernel.matrix") == {"greeks.estimate_many": 2, "oracles.fd_greek": 3}
+    metrics, checks = tracing.layer_metrics(spans, wall)
+    assert metrics["kernel.matrix_builds"][0] == 5
+    assert metrics["greeks.chunks"][0] == 9  # one bundle per tile
+    assert metrics["oracles.fd_reprices"][0] == 4 * 9  # s0 +- h and H +- h per tile
     assert len(checks) == 2 and all(ok for _, ok, _ in checks), checks

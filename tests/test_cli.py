@@ -75,7 +75,7 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.n_paths == 8000 and cfg.seed == 7
     assert cfg.confidence == 0.99 and cfg.workers == 1
     assert cfg.kinds == ("delta",) and cfg.oracles == ("fd", "bs")
-    assert cfg.variant == "derived" and cfg.ns_schedule == ()
+    assert cfg.variant is None and cfg.ns_schedule == ()
 
 
 @pytest.mark.parametrize(
@@ -154,7 +154,8 @@ def test_missing_file_is_config_error(tmp_path, capsys):
 
 def test_price_command_matches_oracle(tmp_path):
     out = str(tmp_path / "price.csv")
-    assert main(["price", "--config", _write(tmp_path, BS_CFG.replace("oracles = fd, bs\n", "")), "--out", out]) == 0
+    cfg = BS_CFG.replace("kinds = delta\n", "").replace("oracles = fd, bs\n", "")
+    assert main(["price", "--config", _write(tmp_path, cfg), "--out", out]) == 0
     header, cols, rows = _read_csv(out)
     assert header == "# volterra-greeks v1 schema; rng stream 2"
     assert cols == ["kind", "value", "stderr", "ci_low", "ci_high",
@@ -242,7 +243,7 @@ def test_non_finite_samples_exit_4(tmp_path, capsys):
     cfg = cfg.replace("rho = 0.0", "rho = -0.7").replace("h = 0.14", "h = 0.1")
     cfg = cfg.replace("n_paths = 8000", "n_paths = 2000").replace("seed = 7", "seed = 1")
     with np.errstate(all="ignore"):
-        assert main(["price", "--config", _write(tmp_path, cfg.replace("oracles = fd, bs\n", ""))]) == 4
+        assert main(["price", "--config", _write(tmp_path, cfg.replace("kinds = delta\noracles = fd, bs\n", ""))]) == 4
         assert main(["greek", "--config", _write(tmp_path, cfg.replace("oracles = fd, bs\n", ""))]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -299,20 +300,38 @@ def test_converge_rejects_oracles(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line,key", [("oracles = fd, bs", "task.oracles"),
-                                      ("ns_schedule = 500, 1000", "task.ns_schedule")])
+                                      ("ns_schedule = 500, 1000", "task.ns_schedule"),
+                                      ("kinds = delta, gamma, rho, vega", "task.kinds"),
+                                      ("variant = derived", "task.variant")])
 def test_price_rejects_task_keys_it_does_not_use(tmp_path, monkeypatch, capsys, line, key):
-    # price used to drop both keys silently and print its one row
+    # price used to drop these keys silently and print its one row
     import volterra_greeks.cli as cli
 
     def no_run(*args, **kwargs):
         raise AssertionError("simulated before rejecting the config")
 
     monkeypatch.setattr(cli, "estimate_many", no_run)
-    cfg = BS_CFG.replace("oracles = fd, bs", line)
+    cfg = BS_CFG.replace("kinds = delta\n", "").replace("oracles = fd, bs", line)
     assert main(["price", "--config", _write(tmp_path, cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert key in captured.err
+
+
+def test_greek_rejects_schedule(tmp_path, monkeypatch, capsys):
+    # greek used to drop ns_schedule silently and print its rows
+    import volterra_greeks.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before rejecting the config")
+
+    monkeypatch.setattr(cli, "estimate_many", no_run)
+    monkeypatch.setattr(cli, "fd_greek", no_run)
+    cfg = BS_CFG.replace("oracles = fd, bs", "ns_schedule = 500, 1000")
+    assert main(["greek", "--config", _write(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "task.ns_schedule" in captured.err
 
 
 @pytest.mark.parametrize("where", ["missing_dir", "is_dir"])

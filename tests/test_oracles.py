@@ -227,7 +227,8 @@ def test_fd_sequence_draws_once_and_prices_each_setup_once(monkeypatch):
         monkeypatch.setattr(oracles, name, counting(name))
     mkt = MarketSpec(s0=100.0, r=0.05)
     fd_greek(["delta", "gamma", "rho", "vega"], ROUGH, mkt, OPT, TimeGrid(T=1.0, n=4), TWO_CHUNKS, seed=3)
-    # per chunk: one draw; vol paths for the unbumped, v0 + h and v0 - h
-    # models; the setups s0 +- h, s0, r +- h and v0 +- h priced once each
-    assert calls == {"gen_increments": 2, "vol_path": 6, "price_path": 14}
+    # per chunk: one draw; per tile (8 of 1024 paths, then one of 300): vol paths
+    # for the unbumped, v0 + h and v0 - h models; the setups s0 +- h, s0,
+    # r +- h and v0 +- h priced once each
+    assert calls == {"gen_increments": 2, "vol_path": 3 * 9, "price_path": 7 * 9}
 

@@ -202,6 +202,17 @@ def test_row_blocked_convolve_kernel_matches_dense(n):
         assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(dz) @ np.abs(kmat).T))
 
 
+@pytest.mark.parametrize("n", [300, 600])
+def test_convolve_kernel_rows_do_not_depend_on_the_paths_after_them(n):
+    # BLAS rounds a row by how many rows share its product; groups of 256
+    # paths make a tile's rows equal to the same rows of the whole chunk
+    kmat = kernel_matrix(KernelSpec(H=0.14, eps=1e-6), TimeGrid(T=1.0, n=n).times)
+    dz = np.random.default_rng(n).standard_normal((1100, n))
+    y = convolve_kernel(kmat, dz)
+    for lo, hi in ((0, 256), (256, 1024), (0, 1024), (1024, 1100)):
+        assert np.array_equal(convolve_kernel(kmat, dz[lo:hi]), y[lo:hi])
+
+
 def test_convolve_kernel_is_causal_across_row_blocks():
     n = 1500  # three row blocks, with edges near 500 and 1000
     kmat, (_, dz) = _conv_case(n, 3)
