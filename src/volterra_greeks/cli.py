@@ -4,10 +4,11 @@ Configuration is flat INI (key = value in named sections): [model] kind
 plus the model's dataclass fields (a kernel field reads h, or hp for the
 second kernel of the mixed model), [market] s0/r, [option] k/t/payoff,
 [numerics] n_steps/n_paths/seed/confidence/epsilon/workers, [task]
-kinds/variant/oracles/ns_schedule; any other key is a config error, and
-so is a [task] key the command does not use (price uses none of them,
-greek no ns_schedule, converge no oracles).
-Output is CSV only, UTF-8, first line `# volterra-greeks v1 schema; rng
+kinds/oracles/ns_schedule; any other key is a config error, and so is a
+[task] key the command does not use (_TASK_KEYS).  [task] variant is
+read only so that older files load: `derived` changes nothing, any other
+value is a config error.
+Output is CSV only, UTF-8, first line `# volterra-greeks v2 schema; rng
 stream 2` (paths.RNG_STREAM); plotting is left to external tools.
 
 Exit statuses: 0 success, 2 config error (message carries the
@@ -52,13 +53,15 @@ from .paths import RNG_STREAM, TimeGrid
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
-SCHEMA_COMMENT = f"# volterra-greeks v1 schema; rng stream {RNG_STREAM}"
+SCHEMA_COMMENT = f"# volterra-greeks v2 schema; rng stream {RNG_STREAM}"
 WORKERS_ENV = "VOLTERRA_GREEKS_WORKERS"
 _PRICE_COLS = ["kind", "value", "stderr", "ci_low", "ci_high", "n_paths", "n_discarded", "seed", "wallclock_ms"]
-_GREEK_COLS = ["kind", "method", "variant", "value", "stderr", "ci_low", "ci_high",
+_GREEK_COLS = ["kind", "method", "value", "stderr", "ci_low", "ci_high",
                "n_paths", "n_discarded", "seed", "wallclock_ms", "agreement"]
 _CONVERGE_COLS = ["ns", "value", "ci_low", "ci_high"]
 _SENS_KINDS = ("delta", "gamma", "rho", "vega", "hsens")
+# the [task] keys each command uses; a file that sets another one is a config error
+_TASK_KEYS = {"price": (), "greek": ("kinds", "variant", "oracles"), "converge": ("kinds", "variant", "ns_schedule")}
 _MODELS = {
     "alpharfsv": AlphaRFSV,
     "mixed": MixedAlphaRFSV,
@@ -85,7 +88,7 @@ class RunConfig:
     confidence: float = 0.99
     workers: int = 1
     kinds: Sequence[str] = ()
-    variant: Optional[str] = None  # None when the file does not set it: the library default applies
+    variant: Optional[str] = None  # "derived" when an older file sets it, else None; changes nothing
     oracles: Sequence[str] = ()
     ns_schedule: Sequence[int] = ()
 
@@ -191,8 +194,9 @@ def load_config(path: str) -> RunConfig:
     variant = _raw(cp, "task", "variant", None)
     if variant is not None:
         variant = variant.strip().lower()
-        if variant not in ("literal", "derived"):
-            raise ConfigError(f"task.variant: expected literal or derived, got {variant!r}")
+        if variant != "derived":
+            raise ConfigError(f"task.variant: the literal gamma and rho weights were removed; "
+                              f"only 'derived' is accepted, got {variant!r}")
     oracles = tuple(o.lower() for o in _list(_raw(cp, "task", "oracles", "")))
     for o in oracles:
         if o not in ("fd", "bs"):
@@ -217,23 +221,20 @@ def load_config(path: str) -> RunConfig:
     )
 
 
-def _variant_of(kind: str, cfg: RunConfig) -> Optional[str]:
-    return cfg.variant if kind in ("gamma", "rho") else None
+def _check_task_keys(command: str, cfg: RunConfig) -> None:
+    """Reject a [task] key the file sets but the command does not use."""
+    for key in ("kinds", "variant", "oracles", "ns_schedule"):
+        value = getattr(cfg, key)
+        if value and key not in _TASK_KEYS[command]:
+            users = " and ".join(c for c, keys in _TASK_KEYS.items() if key in keys)
+            shown = list(value) if isinstance(value, tuple) else value
+            raise ConfigError(f"task.{key}: {command} does not use this key (used by {users}), got {shown!r}")
 
 
 def cmd_price(cfg: RunConfig) -> tuple:
-    if cfg.kinds:
-        raise ConfigError(f"task.kinds: price estimates the price only (greek and converge take kinds), "
-                          f"got {list(cfg.kinds)}")
-    if cfg.variant is not None:
-        raise ConfigError(f"task.variant: price has no gamma or rho to choose a variant for, got {cfg.variant!r}")
-    if cfg.oracles:
-        raise ConfigError(f"task.oracles: price runs no oracles (greek does), got {list(cfg.oracles)}")
-    if cfg.ns_schedule:
-        raise ConfigError(f"task.ns_schedule: price takes no schedule (converge does), got {list(cfg.ns_schedule)}")
     t0 = time.perf_counter()
     est = estimate_many(
-        [("price", None)], cfg.model, cfg.market, cfg.option, cfg.grid,
+        ["price"], cfg.model, cfg.market, cfg.option, cfg.grid,
         cfg.n_paths, cfg.seed, cfg.confidence, cfg.workers,
     )[0]
     ms = int(round(1000.0 * (time.perf_counter() - t0)))
@@ -243,7 +244,7 @@ def cmd_price(cfg: RunConfig) -> tuple:
 
 
 def _greek_row(est: GreekEstimate, method: str, seed: int, ms: int, agreement) -> list:
-    return [est.kind, method, est.variant or "", est.value, est.stderr,
+    return [est.kind, method, est.value, est.stderr,
             est.ci_low, est.ci_high, est.n_paths, est.n_discarded, seed, ms, agreement]
 
 
@@ -252,16 +253,13 @@ def cmd_greek(cfg: RunConfig) -> tuple:
     for k in kinds:
         if k not in _SENS_KINDS:
             raise ConfigError(f"task.kinds: {k!r} is not a sensitivity kind (use the price command)")
-    if cfg.ns_schedule:
-        raise ConfigError(f"task.ns_schedule: greek takes no schedule (converge does), got {list(cfg.ns_schedule)}")
     t0 = time.perf_counter()
 
     def elapsed_ms():
         return int(round(1000.0 * (time.perf_counter() - t0)))
 
-    tasks = [(k, _variant_of(k, cfg)) for k in kinds]
     ests = estimate_many(
-        tasks, cfg.model, cfg.market, cfg.option, cfg.grid,
+        list(kinds), cfg.model, cfg.market, cfg.option, cfg.grid,
         cfg.n_paths, cfg.seed, cfg.confidence, cfg.workers,
     )
     malliavin_ms = elapsed_ms()
@@ -288,7 +286,7 @@ def cmd_greek(cfg: RunConfig) -> tuple:
             )
             value = getattr(bs, est.kind)
             agreement = abs(est.value - value) / est.stderr if est.stderr > 0.0 else 0.0
-            rows.append([est.kind, "bs", "", value, 0.0, value, value, 0, 0, cfg.seed, elapsed_ms(), agreement])
+            rows.append([est.kind, "bs", value, 0.0, value, value, 0, 0, cfg.seed, elapsed_ms(), agreement])
     return _GREEK_COLS, rows
 
 
@@ -298,12 +296,9 @@ def cmd_converge(cfg: RunConfig) -> tuple:
         raise ConfigError(f"task.kinds: converge takes exactly one kind, got {list(kinds)}")
     if not cfg.ns_schedule:
         raise ConfigError("task.ns_schedule: missing required key")
-    if cfg.oracles:
-        raise ConfigError(f"task.oracles: converge runs no oracles (greek does), got {list(cfg.oracles)}")
-    kind = kinds[0]
     ests = converge(
-        kind, cfg.model, cfg.market, cfg.option, cfg.grid, cfg.ns_schedule,
-        cfg.seed, cfg.confidence, _variant_of(kind, cfg), cfg.workers,
+        kinds[0], cfg.model, cfg.market, cfg.option, cfg.grid, cfg.ns_schedule,
+        cfg.seed, cfg.confidence, cfg.workers,
     )
     rows = [[ns, e.value, e.ci_low, e.ci_high] for ns, e in zip(cfg.ns_schedule, ests)]
     return _CONVERGE_COLS, rows
@@ -364,6 +359,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"{WORKERS_ENV}: must be >= 1, got {cfg.workers}")
         if args.out:
             _check_out(args.out)
+        _check_task_keys(args.command, cfg)
         cols, rows = {"price": cmd_price, "greek": cmd_greek, "converge": cmd_converge}[args.command](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -5,21 +5,18 @@ delta weight pi = W_T/intG + iintDsG/intG^2):
 
     price   X = D f(S_T)
     delta   X = (D / S0)   f(S_T) pi
-    gamma   "literal" variant X = (D^2/S0^2) f pi / intG - (D/S0^2) f pi
-            "derived" variant X = (D/S0^2) f (pi^2 - intDpi/intG - pi)
-    rho     "literal" variant X = D (r T f pi - f)
-            "derived" variant X = T D f (pi - 1)
+    gamma   X = (D/S0^2) f (pi^2 - intDpi/intG - pi)
+    rho     X = T D f (pi - 1)
     vega    X = D f * theta-weight for d/d v0
     hsens   X = D f * theta-weight for d/d H
 
-Gamma and rho ship in two algebraic variants: the literal forms keep the
-discount/denominator placement of the raw integration-by-parts displays,
-the derived forms re-expand the second IBP and the rate derivative from
-scratch.  Only the derived forms reproduce the Black-Scholes closed
-forms (the oracle suite arbitrates), so they are the default.  intDpi
-in the derived gamma is int_0^T D_t pi dt expanded as
+One weight per Greek.  On the constant-vol degeneration the gamma and
+rho weights are those of Fournie, Lasry, Lebuchoux, Lions & Touzi
+(1999), checked against the Black-Scholes closed forms.  intDpi in gamma
+is int_0^T D_t pi dt expanded as
 T/intG - W_T iintDsG / intG^2 + C / intG^2 - 2 iintDsG^2 / intG^3 with
-C the triple D_sG integral.
+C the triple D_sG integral; gamma raises UnsupportedError on models
+that do not provide it.
 
 Layout of a run: the paths are drawn in chunks of 8192 (one
 gen_increments call each, the chunks optionally on worker threads), and
@@ -44,7 +41,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import norm
@@ -72,8 +69,6 @@ __all__ = [
 ]
 
 GREEK_KINDS = ("price", "delta", "gamma", "rho", "vega", "hsens")
-_VARIANT_KINDS = ("gamma", "rho")
-DEFAULT_VARIANT = "derived"
 _CHUNK = 8192  # paths per draw (gen_increments call)
 _TILE = 1024  # paths per vol path, pricing and weight pass; four RNG blocks, divides _CHUNK
 
@@ -107,7 +102,6 @@ class GreekEstimate:
     n_paths: int
     n_discarded: int
     confidence: float = 0.99
-    variant: Optional[str] = None
 
 
 def payoff(opt: OptionSpec, s_t):
@@ -122,29 +116,21 @@ def payoff(opt: OptionSpec, s_t):
     return out if out.ndim else float(out)
 
 
-def _normalize_tasks(tasks) -> list:
-    out = []
-    for t in tasks:
-        kind, variant = t if isinstance(t, tuple) else (t, None)
+def _check_kinds(kinds) -> list:
+    kinds = list(kinds)
+    for kind in kinds:
         if kind not in GREEK_KINDS:
             raise ValueError(f"unknown greek kind {kind!r}")
-        if kind in _VARIANT_KINDS:
-            variant = variant or DEFAULT_VARIANT
-            if variant not in ("literal", "derived"):
-                raise ValueError(f"variant must be 'literal' or 'derived', got {variant!r}")
-        elif variant is not None:
-            raise ValueError(f"kind {kind!r} has no variants")
-        out.append((kind, variant))
-    return out
+    return kinds
 
 
-def _task_samples(tasks, model, market, opt, grid, bundle: PathBundle):
-    """Per-path samples for each (kind, variant) task on one bundle."""
+def _task_samples(kinds, model, market, opt, grid, bundle: PathBundle):
+    """Per-path samples and valid masks for each kind on one bundle."""
     disc = math.exp(-market.r * opt.maturity)
     f = payoff(opt, bundle.ST)
     s0 = market.s0
     horizon = grid.n * grid.dt
-    need_w = any(k != "price" for k, _ in tasks)
+    need_w = any(k != "price" for k in kinds)
     if need_w:
         w = weight_components(model, grid, bundle)
         ig = np.asarray(w.intG, dtype=float)
@@ -153,33 +139,27 @@ def _task_samples(tasks, model, market, opt, grid, bundle: PathBundle):
     else:
         valid = np.ones(np.shape(f), dtype=bool)
     out = {}
-    for kind, variant in tasks:
+    for kind in kinds:
         if kind == "price":
-            out[(kind, variant)] = (disc * f, np.ones(np.shape(f), dtype=bool))
+            out[kind] = (disc * f, np.ones(np.shape(f), dtype=bool))
             continue
         if kind == "delta":
             x = disc / s0 * f * pi
         elif kind == "gamma":
-            if variant == "literal":
-                x = disc * disc / s0**2 * f * pi / ig - disc / s0**2 * f * pi
-            else:
-                c3 = triple_ddg_integral(model, grid, bundle)
-                int_dpi = (
-                    horizon / ig
-                    - w.WT * w.iintDsG / ig**2
-                    + c3 / ig**2
-                    - 2.0 * w.iintDsG**2 / ig**3
-                )
-                x = disc / s0**2 * f * (pi * pi - int_dpi / ig - pi)
+            c3 = triple_ddg_integral(model, grid, bundle)
+            int_dpi = (
+                horizon / ig
+                - w.WT * w.iintDsG / ig**2
+                + c3 / ig**2
+                - 2.0 * w.iintDsG**2 / ig**3
+            )
+            x = disc / s0**2 * f * (pi * pi - int_dpi / ig - pi)
         elif kind == "rho":
-            if variant == "literal":
-                x = disc * (market.r * opt.maturity * f * pi - f)
-            else:
-                x = opt.maturity * disc * f * (pi - 1.0)
+            x = opt.maturity * disc * f * (pi - 1.0)
         else:  # vega and hsens: the theta weight for v0 and H
             n_num, int_dn = assemble_vega_numerator(model, grid, bundle, "v0" if kind == "vega" else "H", w)
             x = disc * f * assemble_theta_weight(n_num, int_dn, w)
-        out[(kind, variant)] = (x, valid)
+        out[kind] = (x, valid)
     return out
 
 
@@ -206,13 +186,13 @@ def _tiles(inc: DriverIncrements):
         yield DriverIncrements(dW=inc.dW[rows], dWt=inc.dWt[rows], dZ=inc.dZ[rows], rho=inc.rho)
 
 
-def _all_task_samples(tasks, model, market, opt, grid, n_paths, seed, workers):
-    with_dh = any(k == "hsens" for k, _ in tasks)
+def _all_task_samples(kinds, model, market, opt, grid, n_paths, seed, workers):
+    with_dh = "hsens" in kinds
 
     def chunk(start, stop):
         inc = gen_increments(grid, model.rho, seed, stop - start, start)
         return [
-            _task_samples(tasks, model, market, opt, grid, make_bundle(model, market, grid, tile, with_dh=with_dh))
+            _task_samples(kinds, model, market, opt, grid, make_bundle(model, market, grid, tile, with_dh=with_dh))
             for tile in _tiles(inc)
         ]
 
@@ -223,7 +203,7 @@ def _all_task_samples(tasks, model, market, opt, grid, n_paths, seed, workers):
     }
 
 
-def _reduce(kind, variant, x, valid, confidence) -> GreekEstimate:
+def _reduce(kind, x, valid, confidence) -> GreekEstimate:
     used = x[valid]
     n_used, n_bad = used.size, used.size - np.count_nonzero(np.isfinite(used))
     if n_used < 2 or n_bad:
@@ -240,7 +220,6 @@ def _reduce(kind, variant, x, valid, confidence) -> GreekEstimate:
         n_paths=n_used,
         n_discarded=int(valid.size - n_used),
         confidence=confidence,
-        variant=variant,
     )
 
 
@@ -258,7 +237,7 @@ def _validate_run(opt, grid, n_paths, seed, confidence, workers):
 
 
 def estimate_many(
-    tasks: Sequence,
+    kinds: Sequence[str],
     model: ModelSpec,
     market: MarketSpec,
     opt: OptionSpec,
@@ -268,15 +247,11 @@ def estimate_many(
     confidence: float = 0.99,
     workers: int = 1,
 ) -> list:
-    """Estimate several Greeks on common paths; one simulation pass.
-
-    tasks is a sequence of kinds or (kind, variant) pairs; gamma and rho
-    default to the 'derived' variant.
-    """
-    tasks = _normalize_tasks(tasks)
+    """Estimate several Greeks on common paths; one simulation pass."""
+    kinds = _check_kinds(kinds)
     _validate_run(opt, grid, n_paths, seed, confidence, workers)
-    samples = _all_task_samples(tasks, model, market, opt, grid, n_paths, seed, workers)
-    return [_reduce(k, v, *samples[(k, v)], confidence) for k, v in tasks]
+    samples = _all_task_samples(kinds, model, market, opt, grid, n_paths, seed, workers)
+    return [_reduce(k, *samples[k], confidence) for k in kinds]
 
 
 def estimate(
@@ -288,13 +263,10 @@ def estimate(
     n_paths: int,
     seed: int,
     confidence: float = 0.99,
-    variant: Optional[str] = None,
     workers: int = 1,
 ) -> GreekEstimate:
     """Monte-Carlo estimate of one Greek with a 2-sided normal CI."""
-    return estimate_many(
-        [(kind, variant)], model, market, opt, grid, n_paths, seed, confidence, workers
-    )[0]
+    return estimate_many([kind], model, market, opt, grid, n_paths, seed, confidence, workers)[0]
 
 
 def converge(
@@ -306,7 +278,6 @@ def converge(
     ns_schedule: Sequence[int],
     seed: int,
     confidence: float = 0.99,
-    variant: Optional[str] = None,
     workers: int = 1,
 ) -> list:
     """Nested-sample convergence trace: one estimate per schedule entry.
@@ -318,8 +289,7 @@ def converge(
     ns = [int(x) for x in ns_schedule]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 2:
         raise ValueError("ns_schedule must be strictly increasing with entries >= 2")
-    tasks = _normalize_tasks([(kind, variant)])
+    kinds = _check_kinds([kind])
     _validate_run(opt, grid, ns[-1], seed, confidence, workers)
-    samples = _all_task_samples(tasks, model, market, opt, grid, ns[-1], seed, workers)
-    x, valid = samples[tasks[0]]
-    return [_reduce(tasks[0][0], tasks[0][1], x[:m], valid[:m], confidence) for m in ns]
+    x, valid = _all_task_samples(kinds, model, market, opt, grid, ns[-1], seed, workers)[kind]
+    return [_reduce(kind, x[:m], valid[:m], confidence) for m in ns]

@@ -32,7 +32,7 @@ no other module branches on the model type:
                              g2 = sigma''(V) IDV^2 + sigma'(V) IDDV on cells
                              0..n-1, where IDV_i = dt sum_{j<i} D_{t_j} V_{t_i}
                              and IDDV_i = dt^2 sum_{s,t} D_{t_t} D_{t_s} V_{t_i};
-* triple_term(grid, bundle)  iiint D_w D_s G dw ds dt for the derived gamma;
+* triple_term(grid, bundle)  iiint D_w D_s G dw ds dt for the gamma weight;
 * dtheta(grid, bundle, p)    dV/dp and its inner integral dt sum_j D_{t_j};
 * rho                        correlation of the vol driver with the asset;
 * bs_sigma()                 the Black-Scholes vol of a degenerate model.
@@ -162,7 +162,7 @@ class _Model:
 
     def triple_term(self, grid: TimeGrid, b: PathBundle):
         raise UnsupportedError(
-            f"re-derived Gamma needs the triple D_sG integral, not available for {type(self).__name__}"
+            f"gamma needs the triple D_sG integral, not available for {type(self).__name__}"
         )
 
     def dtheta(self, grid: TimeGrid, b: PathBundle, which: str):

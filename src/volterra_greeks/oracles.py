@@ -222,5 +222,5 @@ def fd_greek(
     ests = []
     for kind, parts in zip(kinds, zip(*_run_chunks(n_paths, workers, chunk))):
         x = np.concatenate(parts)
-        ests.append(_reduce(kind, None, x, np.ones(x.shape, dtype=bool), confidence))
+        ests.append(_reduce(kind, x, np.ones(x.shape, dtype=bool), confidence))
     return ests[0] if single else ests

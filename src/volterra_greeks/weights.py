@@ -137,7 +137,7 @@ def assemble_theta_weight(n_num, int_dn, w: WeightComponents):
 
 
 def triple_ddg_integral(model: ModelSpec, grid: TimeGrid, bundle: PathBundle):
-    """iiint D_w D_s G(t, T) dw ds dt, needed by the re-derived Gamma weight.
+    """iiint D_w D_s G(t, T) dw ds dt, needed by the gamma weight.
 
     Zero whenever the first Malliavin derivative of V is deterministic
     (Black-Scholes, both Stein-Stein models); AlphaRFSV has a closed

@@ -90,6 +90,7 @@ def test_load_config_round_trip(tmp_path):
         (lambda s: s.replace("kinds = delta", "kinds = delta, skew"), "task.kinds"),
         (lambda s: s.replace("oracles = fd, bs", "oracles = mc"), "task.oracles"),
         (lambda s: s + "variant = wild\n", "task.variant"),
+        pytest.param(lambda s: s + "variant = literal\n", "task.variant", id="variant-literal-task.variant"),
         (lambda s: s + "ns_schedule = 100, 50\n", "task.ns_schedule"),
         (lambda s: s.replace("seed = 7", "seed = 7\nepsilon = -1e-6"), "numerics.epsilon"),
         (lambda s: s.replace("[market]\ns0 = 100\nr = 0.0\n", ""), "market"),
@@ -157,7 +158,7 @@ def test_price_command_matches_oracle(tmp_path):
     cfg = BS_CFG.replace("kinds = delta\n", "").replace("oracles = fd, bs\n", "")
     assert main(["price", "--config", _write(tmp_path, cfg), "--out", out]) == 0
     header, cols, rows = _read_csv(out)
-    assert header == "# volterra-greeks v1 schema; rng stream 2"
+    assert header == "# volterra-greeks v2 schema; rng stream 2"
     assert cols == ["kind", "value", "stderr", "ci_low", "ci_high",
                     "n_paths", "n_discarded", "seed", "wallclock_ms"]
     assert len(rows) == 1
@@ -172,7 +173,7 @@ def test_greek_command_with_oracles(tmp_path):
     out = str(tmp_path / "greek.csv")
     assert main(["greek", "--config", _write(tmp_path, BS_CFG), "--out", out]) == 0
     _, cols, rows = _read_csv(out)
-    assert cols == ["kind", "method", "variant", "value", "stderr", "ci_low", "ci_high",
+    assert cols == ["kind", "method", "value", "stderr", "ci_low", "ci_high",
                     "n_paths", "n_discarded", "seed", "wallclock_ms", "agreement"]
     methods = [dict(zip(cols, r)) for r in rows]
     assert [m["method"] for m in methods] == ["malliavin", "fd", "bs"]
@@ -184,16 +185,6 @@ def test_greek_command_with_oracles(tmp_path):
     assert float(methods[2]["stderr"]) == 0.0
     ref = bs_price_greeks(100.0, 100.0, 1.0, 0.0, 0.2).delta
     assert float(methods[2]["value"]) == pytest.approx(ref, rel=1e-12)
-
-
-def test_greek_variant_column(tmp_path):
-    cfg = BS_CFG.replace("kinds = delta", "kinds = gamma, vega").replace("oracles = fd, bs\n", "")
-    out = str(tmp_path / "g.csv")
-    assert main(["greek", "--config", _write(tmp_path, cfg), "--out", out]) == 0
-    _, cols, rows = _read_csv(out)
-    byk = {r[0]: dict(zip(cols, r)) for r in rows}
-    assert byk["gamma"]["variant"] == "derived"
-    assert byk["vega"]["variant"] == ""
 
 
 def test_greek_rejects_price_kind(tmp_path, capsys):
@@ -231,6 +222,14 @@ kinds = vega
     assert "unsupported" in capsys.readouterr().err
 
 
+def test_variant_derived_changes_nothing(tmp_path):
+    cfg = BS_CFG.replace("kinds = delta", "kinds = gamma, rho, vega").replace("oracles = fd, bs\n", "")
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert main(["greek", "--config", _write(tmp_path, cfg, "a.cfg"), "--out", a]) == 0
+    assert main(["greek", "--config", _write(tmp_path, cfg + "variant = derived\n", "b.cfg"), "--out", b]) == 0
+    assert _strip_wallclock(a) == _strip_wallclock(b)
+
+
 def test_numerical_failure_exit_4(tmp_path, capsys):
     cfg = BS_CFG.replace("v0 = 0.2", "v0 = 1e-13").replace("oracles = fd, bs\n", "")
     cfg = cfg.replace("n_paths = 8000", "n_paths = 100")
@@ -255,7 +254,7 @@ def test_converge_command(tmp_path):
     out = str(tmp_path / "conv.csv")
     assert main(["converge", "--config", _write(tmp_path, cfg), "--out", out]) == 0
     header, cols, rows = _read_csv(out)
-    assert header == "# volterra-greeks v1 schema; rng stream 2"
+    assert header == "# volterra-greeks v2 schema; rng stream 2"
     assert cols == ["ns", "value", "ci_low", "ci_high"]
     assert [r[0] for r in rows] == ["500", "2000", "8000"]
     for r in rows:
@@ -452,7 +451,7 @@ def test_stdout_output(tmp_path, capsys):
     assert main(["greek", "--config", cfg]) == 0
     captured = capsys.readouterr().out
     lines = captured.strip().split("\n")
-    assert lines[0] == "# volterra-greeks v1 schema; rng stream 2"
+    assert lines[0] == "# volterra-greeks v2 schema; rng stream 2"
     rows = list(csv.reader(io.StringIO("\n".join(lines[1:]))))
     assert rows[0][0] == "kind"
     assert rows[1][0] == "delta"

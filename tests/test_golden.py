@@ -1,4 +1,4 @@
-"""Golden estimates: every (model, kind, variant) on a small grid.
+"""Golden estimates: every (model, kind) on a small grid.
 
 The values were recorded with the code before the model protocol
 refactor, which computed the AlphaRFSV weight components by separate
@@ -6,6 +6,8 @@ closed forms and every other model by a generic quadrature.  Estimates
 must reproduce them to relative 1e-10; None marks a combination that
 raises UnsupportedError.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -39,67 +41,77 @@ OPTION = OptionSpec(strike=95.0, maturity=1.0)
 GRID = TimeGrid(T=1.0, n=16)
 N_PATHS, SEED = 1000, 2718
 
-# (model, kind, variant) -> (value, stderr, n_discarded)
+# (model, kind) -> (value, stderr, n_discarded)
 GOLDEN = {
-    ('alpharfsv', 'price', None): (25.68028967756202, 1.5947798462557292, 0),
-    ('alpharfsv', 'delta', None): (0.6498399924018722, 0.06236025778446447, 0),
-    ('alpharfsv', 'gamma', 'literal'): (0.005235967207476055, 0.0005510491551194388, 0),
-    ('alpharfsv', 'gamma', 'derived'): (0.005239520355737699, 0.0016604391502850703, 0),
-    ('alpharfsv', 'rho', 'literal'): (-23.7307697003564, 1.4213410669671123, 0),
-    ('alpharfsv', 'rho', 'derived'): (39.3037095626252, 4.7778260847705605, 0),
-    ('alpharfsv', 'vega', None): (33.85708722091863, 8.823785232875023, 0),
-    ('alpharfsv', 'hsens', None): (1.6792970324328793, 0.8717818378480684, 0),
-    ('mixed', 'price', None): (18.643917255121693, 0.9432534232415744, 0),
-    ('mixed', 'delta', None): (0.6417847068970457, 0.05533644285810361, 0),
-    ('mixed', 'gamma', 'literal'): (0.012125544656205389, 0.0011322758316966376, 0),
-    ('mixed', 'gamma', 'derived'): None,
-    ('mixed', 'rho', 'literal'): (-16.718563134430557, 0.7960366677549051, 0),
-    ('mixed', 'rho', 'derived'): (45.534553434582875, 4.696511619808365, 0),
-    ('mixed', 'vega', None): None,
-    ('mixed', 'hsens', None): None,
-    ('rough_stein_stein', 'price', None): (16.051066256168788, 0.7008258043144369, 0),
-    ('rough_stein_stein', 'delta', None): (-42.70614733241333, 22.602427326157127, 0),
-    ('rough_stein_stein', 'gamma', 'literal'): (-295.2842880229579, 230.17732629035373, 0),
-    ('rough_stein_stein', 'gamma', 'derived'): (107508.096268593, 89869.54117378862, 0),
-    ('rough_stein_stein', 'rho', 'literal'): (-144.1695082534088, 67.82754392363611, 0),
-    ('rough_stein_stein', 'rho', 'derived'): (-4286.665799497502, 2260.259484466076, 0),
-    ('rough_stein_stein', 'vega', None): None,
-    ('rough_stein_stein', 'hsens', None): None,
-    ('alphasv', 'price', None): (11.810550660945466, 0.4684778571921078, 0),
-    ('alphasv', 'delta', None): (0.6683857267425014, 0.0502019141758583, 0),
-    ('alphasv', 'gamma', 'literal'): (0.029705808363706246, 0.0023277055862976287, 0),
-    ('alphasv', 'gamma', 'derived'): None,
-    ('alphasv', 'rho', 'literal'): (-9.805393480717964, 0.34236420052995764, 0),
-    ('alphasv', 'rho', 'derived'): (55.02802201330467, 4.610543910788899, 0),
-    ('alphasv', 'vega', None): None,
-    ('alphasv', 'hsens', None): None,
-    ('stein_stein', 'price', None): (15.819637036743494, 0.6703094231581527, 0),
-    ('stein_stein', 'delta', None): (-1092.005196386724, 979.2839641288393, 0),
-    ('stein_stein', 'gamma', 'literal'): (-62584.61898114864, 64433.6153290964, 0),
-    ('stein_stein', 'gamma', 'derived'): (164878587.00338098, 163708392.63720205, 0),
-    ('stein_stein', 'rho', 'literal'): (-3291.8352261969158, 2937.8551243100314, 0),
-    ('stein_stein', 'rho', 'derived'): (-109216.33927570914, 97928.39957063334, 0),
-    ('stein_stein', 'vega', None): None,
-    ('stein_stein', 'hsens', None): None,
-    ('black_scholes', 'price', None): (11.733679519425964, 0.48590270227307053, 0),
-    ('black_scholes', 'delta', None): (0.6593319929284199, 0.04737837194695414, 0),
-    ('black_scholes', 'gamma', 'literal'): (0.02539896945386689, 0.0018251227526665378, 0),
-    ('black_scholes', 'gamma', 'derived'): (0.01633498024969495, 0.003986629644215573, 0),
-    ('black_scholes', 'rho', 'literal'): (-9.755683540640705, 0.3607146069942107, 0),
-    ('black_scholes', 'rho', 'derived'): (54.19951977341603, 4.298477567903501, 0),
-    ('black_scholes', 'vega', None): (32.6699604993899, 7.973259288431144, 0),
-    ('black_scholes', 'hsens', None): None,
+    ('alpharfsv', 'price'): (25.68028967756202, 1.5947798462557292, 0),
+    ('alpharfsv', 'delta'): (0.6498399924018722, 0.06236025778446447, 0),
+    ('alpharfsv', 'gamma'): (0.005239520355737699, 0.0016604391502850703, 0),
+    ('alpharfsv', 'rho'): (39.3037095626252, 4.7778260847705605, 0),
+    ('alpharfsv', 'vega'): (33.85708722091863, 8.823785232875023, 0),
+    ('alpharfsv', 'hsens'): (1.6792970324328793, 0.8717818378480684, 0),
+    ('mixed', 'price'): (18.643917255121693, 0.9432534232415744, 0),
+    ('mixed', 'delta'): (0.6417847068970457, 0.05533644285810361, 0),
+    ('mixed', 'gamma'): None,
+    ('mixed', 'rho'): (45.534553434582875, 4.696511619808365, 0),
+    ('mixed', 'vega'): None,
+    ('mixed', 'hsens'): None,
+    ('rough_stein_stein', 'price'): (16.051066256168788, 0.7008258043144369, 0),
+    ('rough_stein_stein', 'delta'): (-42.70614733241333, 22.602427326157127, 0),
+    ('rough_stein_stein', 'gamma'): (107508.096268593, 89869.54117378862, 0),
+    ('rough_stein_stein', 'rho'): (-4286.665799497502, 2260.259484466076, 0),
+    ('rough_stein_stein', 'vega'): None,
+    ('rough_stein_stein', 'hsens'): None,
+    ('alphasv', 'price'): (11.810550660945466, 0.4684778571921078, 0),
+    ('alphasv', 'delta'): (0.6683857267425014, 0.0502019141758583, 0),
+    ('alphasv', 'gamma'): None,
+    ('alphasv', 'rho'): (55.02802201330467, 4.610543910788899, 0),
+    ('alphasv', 'vega'): None,
+    ('alphasv', 'hsens'): None,
+    ('stein_stein', 'price'): (15.819637036743494, 0.6703094231581527, 0),
+    ('stein_stein', 'delta'): (-1092.005196386724, 979.2839641288393, 0),
+    ('stein_stein', 'gamma'): (164878587.00338098, 163708392.63720205, 0),
+    ('stein_stein', 'rho'): (-109216.33927570914, 97928.39957063334, 0),
+    ('stein_stein', 'vega'): None,
+    ('stein_stein', 'hsens'): None,
+    ('black_scholes', 'price'): (11.733679519425964, 0.48590270227307053, 0),
+    ('black_scholes', 'delta'): (0.6593319929284199, 0.04737837194695414, 0),
+    ('black_scholes', 'gamma'): (0.01633498024969495, 0.003986629644215573, 0),
+    ('black_scholes', 'rho'): (54.19951977341603, 4.298477567903501, 0),
+    ('black_scholes', 'vega'): (32.6699604993899, 7.973259288431144, 0),
+    ('black_scholes', 'hsens'): None,
 }
 
-@pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: "-".join(str(x) for x in k if x))
+
+def _id(key):
+    # gamma and rho keep the "-derived" suffix of their test ids: it names the weight form the values pin
+    return "-".join(key) + ("-derived" if key[1] in ("gamma", "rho") else "")
+
+
+@pytest.mark.parametrize("key", list(GOLDEN), ids=_id)
 def test_golden_estimates(key):
-    name, kind, variant = key
+    name, kind = key
     want = GOLDEN[key]
     if want is None:
         with pytest.raises(UnsupportedError):
-            estimate(kind, MODELS[name], MARKET, OPTION, GRID, N_PATHS, SEED, variant=variant)
+            estimate(kind, MODELS[name], MARKET, OPTION, GRID, N_PATHS, SEED)
         return
-    est = estimate(kind, MODELS[name], MARKET, OPTION, GRID, N_PATHS, SEED, variant=variant)
+    est = estimate(kind, MODELS[name], MARKET, OPTION, GRID, N_PATHS, SEED)
     assert est.value == pytest.approx(want[0], rel=1e-10)
     assert est.stderr == pytest.approx(want[1], rel=1e-10)
     assert est.n_discarded == want[2]
+
+
+def _cells(line):
+    return [c.strip().strip("`") for c in line.strip("|").split("|")]
+
+
+def test_readme_support_table_matches_golden():
+    # the README's kind x model table documents which pairs raise UnsupportedError
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| kind "))
+    models = _cells(lines[start])[1:]
+    table = {}
+    for line in lines[start + 2:start + 8]:
+        kind, *row = _cells(line)
+        table.update({(m, kind): cell == "supported" for m, cell in zip(models, row)})
+    assert table == {key: want is not None for key, want in GOLDEN.items()}

@@ -73,10 +73,9 @@ def test_run_validation():
         estimate("delta", BS_MODEL, BS_MKT, OPT, GRID, 100, seed=0, confidence=1.0)
     with pytest.raises(ValueError):
         estimate("skew", BS_MODEL, BS_MKT, OPT, GRID, 100, seed=0)
-    with pytest.raises(ValueError):
-        estimate("delta", BS_MODEL, BS_MKT, OPT, GRID, 100, seed=0, variant="derived")
-    with pytest.raises(ValueError):
-        estimate("gamma", BS_MODEL, BS_MKT, OPT, GRID, 100, seed=0, variant="typo")
+    # tasks are plain kinds; a (kind, variant) pair is an unknown kind
+    with pytest.raises(ValueError, match="unknown greek kind"):
+        estimate_many([("gamma", "derived")], BS_MODEL, BS_MKT, OPT, GRID, 100, seed=0)
     # the substream key needs a non-negative seed: say so instead of failing inside numpy
     with pytest.raises(ValueError, match="seed must be >= 0"):
         estimate_many(["price", "delta"], BS_MODEL, BS_MKT, OPT, GRID, 100, seed=-1)
@@ -103,7 +102,7 @@ def test_estimate_interval_shape():
 
 def test_bs_degenerate_battery():
     ref = bs_price_greeks(100.0, 100.0, 1.0, 0.0, 0.2)
-    tasks = ["price", "delta", "vega", ("gamma", "derived"), ("rho", "derived")]
+    tasks = ["price", "delta", "vega", "gamma", "rho"]
     ests = estimate_many(tasks, BS_MODEL, BS_MKT, OPT, GRID, 30_000, seed=101)
     targets = {"price": ref.price, "delta": ref.delta, "vega": ref.vega,
                "gamma": ref.gamma, "rho": ref.rho}
@@ -118,20 +117,14 @@ def test_delta_matches_standard_normal_cdf():
     assert est.value == pytest.approx(0.5398, abs=3.5 * est.stderr + 1e-4)
 
 
-def test_literal_variants_fail_bs_oracle_where_derived_pass():
-    # the literal gamma and rho weight transcriptions are biased; the
-    # re-derived ones are not.  r > 0 separates them sharply.
+def test_gamma_and_rho_match_bs_at_positive_rate():
+    # r > 0 is where a misplaced discount or rate term in the gamma and
+    # rho weights shows
     mkt = MarketSpec(s0=100.0, r=0.05)
     ref = bs_price_greeks(100.0, 100.0, 1.0, 0.05, 0.2)
-    ests = estimate_many(
-        [("gamma", "literal"), ("gamma", "derived"), ("rho", "literal"), ("rho", "derived")],
-        BS_MODEL, mkt, OPT, GRID, 50_000, seed=23,
-    )
-    by = {(e.kind, e.variant): e for e in ests}
-    assert _z(by[("gamma", "derived")], ref.gamma) < 3.0
-    assert _z(by[("rho", "derived")], ref.rho) < 3.0
-    assert _z(by[("gamma", "literal")], ref.gamma) > 5.0
-    assert _z(by[("rho", "literal")], ref.rho) > 50.0
+    gamma, rho = estimate_many(["gamma", "rho"], BS_MODEL, mkt, OPT, GRID, 50_000, seed=23)
+    assert _z(gamma, ref.gamma) < 3.0
+    assert _z(rho, ref.rho) < 3.0
 
 
 def test_digital_delta():
@@ -144,7 +137,7 @@ def test_digital_delta():
 def test_put_call_delta_difference():
     # common paths: Delta_call - Delta_put estimates d/dS0 of the forward = 1
     c, p = estimate_many(
-        [("delta", None)], BS_MODEL, BS_MKT, OPT, GRID, 30_000, seed=41
+        ["delta"], BS_MODEL, BS_MKT, OPT, GRID, 30_000, seed=41
     )[0], None
     ests = estimate_many(["delta"], BS_MODEL, BS_MKT, OptionSpec(100.0, 1.0, "put"), GRID, 30_000, seed=41)
     p = ests[0]
@@ -231,11 +224,11 @@ def test_unsupported_kind_model_pairs():
         v0=0.4, xi_h=0.2, xi_hp=0.3, alpha=0.7, rho=-0.5,
         kernel_h=KernelSpec(H=0.2, eps=1e-4), kernel_hp=KernelSpec(H=0.7, eps=0.0),
     )
-    with pytest.raises(UnsupportedError):
-        estimate("gamma", mixed, BS_MKT, OPT, GRID, 100, seed=0, variant="derived")
-    # the literal transcription needs only the delta weight, so it runs
-    est = estimate("gamma", mixed, BS_MKT, OPT, GRID, 500, seed=0, variant="literal")
-    assert math.isfinite(est.value)
+    alphasv = AlphaSV(v0=0.04, xi=0.3, alpha=1.0, rho=-0.5)
+    # gamma needs the triple D_sG integral, which neither model provides
+    for model in (mixed, alphasv):
+        with pytest.raises(UnsupportedError):
+            estimate("gamma", model, BS_MKT, OPT, GRID, 100, seed=0)
 
 
 def test_all_kinds_run_on_rough_model():
@@ -246,8 +239,6 @@ def test_all_kinds_run_on_rough_model():
     assert [e.kind for e in ests] == list(GREEK_KINDS)
     for e in ests:
         assert math.isfinite(e.value) and e.stderr > 0.0
-    assert ests[2].variant == "derived" and ests[3].variant == "derived"
-    assert ests[0].variant is None
 
 
 _KERNELS = st.builds(KernelSpec, H=st.floats(0.02, 0.98), eps=st.floats(1e-6, 1e-2))
@@ -263,19 +254,18 @@ _ANY_MODEL = st.one_of(
               nu=st.floats(0.0, 5.0), rho=_RHO),
     st.builds(BlackScholes, sigma=_V0),
 )
-_ANY_TASK = st.sampled_from([("price", None), ("delta", None), ("gamma", "literal"), ("gamma", "derived"),
-                             ("rho", "literal"), ("rho", "derived"), ("vega", None), ("hsens", None)])
+_ANY_KIND = st.sampled_from(GREEK_KINDS)
 
 
 @settings(max_examples=150, deadline=None)
-@given(model=_ANY_MODEL, task=_ANY_TASK, n=st.integers(1, 8), n_paths=st.integers(2, 200),
+@given(model=_ANY_MODEL, kind=_ANY_KIND, n=st.integers(1, 8), n_paths=st.integers(2, 200),
        seed=st.integers(0, 2**32 - 1), payout=st.sampled_from(["call", "put", "digital_call"]),
        strike=st.floats(50.0, 150.0), maturity=st.floats(0.1, 2.0), r=st.floats(0.0, 0.1))
-def test_estimates_are_finite_or_fail_loudly(model, task, n, n_paths, seed, payout, strike, maturity, r):
+def test_estimates_are_finite_or_fail_loudly(model, kind, n, n_paths, seed, payout, strike, maturity, r):
     # grid and path counts are small for runtime; parameters span each model's domain
     with np.errstate(all="ignore"):
         try:
-            est = estimate_many([task], model, MarketSpec(s0=100.0, r=r), OptionSpec(strike, maturity, payout),
+            est = estimate_many([kind], model, MarketSpec(s0=100.0, r=r), OptionSpec(strike, maturity, payout),
                                 TimeGrid(T=maturity, n=n), n_paths, seed)[0]
         except (NumericalFailureError, UnsupportedError):
             return

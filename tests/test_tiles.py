@@ -47,7 +47,7 @@ def _tile_sizes(tile):
 @pytest.mark.parametrize("n", [16, 600])
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_estimates_do_not_depend_on_tile_size(monkeypatch, name, n):
-    tasks = [(kind, variant) for (m, kind, variant), want in GOLDEN.items() if m == name and want is not None]
+    tasks = [kind for (m, kind), want in GOLDEN.items() if m == name and want is not None]
     grid = TimeGrid(T=1.0, n=n)
     results = []
     for tile in TILES:
