@@ -7,13 +7,15 @@ second kernel of the mixed model), [market] s0/r, [option] k/t/payoff,
 kinds/oracles/ns_schedule; any other key is a config error, and so is a
 [task] key the command does not use (_TASK_KEYS).  [task] variant is
 read only so that older files load: `derived` changes nothing, any other
-value is a config error.
+value is a config error.  Values are read as written (no % interpolation);
+a number must be finite.
 Output is CSV only, UTF-8, first line `# volterra-greeks v2 schema; rng
 stream 2` (paths.RNG_STREAM); plotting is left to external tools.
 
 Exit statuses: 0 success, 2 config error (message carries the
-section.key field path), 3 unsupported kind-model combination,
-4 numerical failure (too few usable paths, or a non-finite sample).
+section.key field path, or the line of a malformed file), 3 unsupported
+kind-model combination, 4 numerical failure (too few usable paths, or a
+non-finite sample).
 """
 
 from __future__ import annotations
@@ -97,11 +99,23 @@ _MISSING = object()
 
 
 class _Ini(configparser.ConfigParser):
-    """INI parser that records every section.key the loader reads."""
+    """INI parser that records every section.key the loader reads; values are read as written."""
 
     def __init__(self):
-        super().__init__(inline_comment_prefixes=("#", ";"))
+        super().__init__(inline_comment_prefixes=("#", ";"), interpolation=None)
         self.seen = set()
+
+
+def _ini_error(e: configparser.Error) -> ConfigError:
+    """A malformed file, named by section.key where the parser knows it, else by line."""
+    if isinstance(e, configparser.DuplicateOptionError):
+        return ConfigError(f"{e.section}.{e.option}: duplicate key (line {e.lineno})")
+    if isinstance(e, configparser.DuplicateSectionError):
+        return ConfigError(f"{e.section}: duplicate section (line {e.lineno})")
+    if isinstance(e, configparser.MissingSectionHeaderError):
+        return ConfigError(f"line {e.lineno}: key outside any [section], got {e.line.strip()!r}")
+    lineno, line = e.errors[0]  # a ParsingError, the one other error read() raises: (line number, its repr)
+    return ConfigError(f"line {lineno}: expected key = value, got {line}")
 
 
 def _raw(cp, section, key, default=_MISSING):
@@ -121,10 +135,13 @@ def _number(cp, section, key, default=_MISSING, cast=float):
     if not isinstance(raw, str):
         return raw
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError:
         what = "an integer" if cast is int else "a number"
         raise ConfigError(f"{section}.{key}: expected {what}, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _list(raw: str) -> List[str]:
@@ -150,8 +167,13 @@ def _load_model(cp, eps: float) -> ModelSpec:
 
 def load_config(path: str) -> RunConfig:
     cp = _Ini()
-    if not cp.read(path, encoding="utf-8"):
-        raise ConfigError(f"config file not found or unreadable: {path}")
+    try:
+        if not cp.read(path, encoding="utf-8"):
+            raise ConfigError(f"config file not found or unreadable: {path}")
+    except configparser.Error as e:
+        raise _ini_error(e) from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file is not UTF-8 text: {path}") from None
 
     eps = _number(cp, "numerics", "epsilon", 1e-6)
     if eps < 0.0:

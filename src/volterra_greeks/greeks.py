@@ -18,11 +18,12 @@ T/intG - W_T iintDsG / intG^2 + C / intG^2 - 2 iintDsG^2 / intG^3 with
 C the triple D_sG integral; gamma raises UnsupportedError on models
 that do not provide it.
 
-Layout of a run: the paths are drawn in chunks of 8192 (one
-gen_increments call each, the chunks optionally on worker threads), and
-each chunk's vol paths, prices and weights are computed in tiles of 1024
-paths, one after another, so a chunk's peak memory is its draw plus one
-tile.  Each distinct kernel matrix is built once per call.
+Layout of a run (_per_tile, which the FD oracle shares): the paths are
+drawn in chunks of 8192 (one gen_increments call each, the chunks
+optionally on worker threads), and each chunk's vol paths, prices and
+weights are computed in tiles of 1024 paths, one after another, so a
+chunk's peak memory is its draw plus one tile.  Each distinct kernel
+matrix is built once per call.
 
 Determinism: path p is row p % 256 of the substream keyed by (seed,
 p // 256) (RNG stream 2), and chunks and tiles start on multiples of 256
@@ -41,12 +42,13 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 from scipy.stats import norm
 
-from .models import MarketSpec, ModelSpec, PathBundle, kernel_cache, make_bundle
+from .models import MarketSpec, ModelSpec, kernel_cache, make_bundle
 from .paths import DriverIncrements, TimeGrid, gen_increments
 from .weights import (
     DEGENERATE_INTG,
@@ -124,26 +126,23 @@ def _check_kinds(kinds) -> list:
     return kinds
 
 
-def _task_samples(kinds, model, market, opt, grid, bundle: PathBundle):
-    """Per-path samples and valid masks for each kind on one bundle."""
+def _task_samples(kinds, model, market, opt, grid, inc: DriverIncrements):
+    """Per-path samples of each kind on one tile, and the "valid" mask of its weights."""
+    bundle = make_bundle(model, market, grid, inc)
     disc = math.exp(-market.r * opt.maturity)
     f = payoff(opt, bundle.ST)
     s0 = market.s0
     horizon = grid.n * grid.dt
-    need_w = any(k != "price" for k in kinds)
-    if need_w:
+    out = {"valid": np.ones(np.shape(f), dtype=bool)}
+    if any(k != "price" for k in kinds):
         w = weight_components(model, grid, bundle)
         ig = np.asarray(w.intG, dtype=float)
-        valid = np.abs(ig) >= DEGENERATE_INTG
+        out["valid"] = np.abs(ig) >= DEGENERATE_INTG
         pi = assemble_delta_weight(w)  # NaN on discarded paths
-    else:
-        valid = np.ones(np.shape(f), dtype=bool)
-    out = {}
     for kind in kinds:
         if kind == "price":
-            out[kind] = (disc * f, np.ones(np.shape(f), dtype=bool))
-            continue
-        if kind == "delta":
+            x = disc * f
+        elif kind == "delta":
             x = disc / s0 * f * pi
         elif kind == "gamma":
             c3 = triple_ddg_integral(model, grid, bundle)
@@ -159,48 +158,44 @@ def _task_samples(kinds, model, market, opt, grid, bundle: PathBundle):
         else:  # vega and hsens: the theta weight for v0 and H
             n_num, int_dn = assemble_vega_numerator(model, grid, bundle, "v0" if kind == "vega" else "H", w)
             x = disc * f * assemble_theta_weight(n_num, int_dn, w)
-        out[kind] = (x, valid)
+        out[kind] = x
     return out
 
 
-def _run_chunks(n_paths: int, workers: int, fn):
-    """Run fn(start, stop) over fixed chunks, results in path order.
+def _per_tile(n_paths: int, workers: int, draw, fn) -> dict:
+    """fn(tile) on each _TILE-path tile (the last may be shorter); fn's dicts of per-path arrays joined in path order.
 
-    The whole run is one kernel_cache() block, so each distinct kernel
-    matrix is built once per call; worker threads see it through a copy
-    of this thread's context.
+    draw(n, start) gives the increments of paths start..start+n-1, once per
+    _CHUNK-path chunk, the chunks on `workers` threads.  The run is one
+    kernel_cache() block, so each distinct kernel matrix is built once;
+    worker threads see it through a copy of this thread's context.
     """
-    ranges = [(s, min(s + _CHUNK, n_paths)) for s in range(0, n_paths, _CHUNK)]
+
+    def chunk(start):
+        inc = draw(min(_CHUNK, n_paths - start), start)
+        return [
+            fn(DriverIncrements(dW=inc.dW[rows], dWt=inc.dWt[rows], dZ=inc.dZ[rows], rho=inc.rho))
+            for rows in (slice(lo, lo + _TILE) for lo in range(0, inc.dZ.shape[0], _TILE))
+        ]
+
+    starts = range(0, n_paths, _CHUNK)
     with kernel_cache():
-        if workers > 1 and len(ranges) > 1:
-            contexts = [copy_context() for _ in ranges]
+        if workers > 1 and len(starts) > 1:
+            contexts = [copy_context() for _ in starts]
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(lambda c, r: c.run(fn, *r), contexts, ranges))
-        return [fn(*r) for r in ranges]
-
-
-def _tiles(inc: DriverIncrements):
-    """Row slices of inc, _TILE paths each (the last may be shorter), in path order."""
-    for lo in range(0, inc.dZ.shape[0], _TILE):
-        rows = slice(lo, lo + _TILE)
-        yield DriverIncrements(dW=inc.dW[rows], dWt=inc.dWt[rows], dZ=inc.dZ[rows], rho=inc.rho)
+                chunks = list(pool.map(lambda c, s: c.run(chunk, s), contexts, starts))
+        else:
+            chunks = [chunk(s) for s in starts]
+    tiles = [t for c in chunks for t in c]
+    return {key: np.concatenate([t[key] for t in tiles]) for key in tiles[0]}
 
 
 def _all_task_samples(kinds, model, market, opt, grid, n_paths, seed, workers):
-    with_dh = "hsens" in kinds
-
-    def chunk(start, stop):
-        inc = gen_increments(grid, model.rho, seed, stop - start, start)
-        return [
-            _task_samples(kinds, model, market, opt, grid, make_bundle(model, market, grid, tile, with_dh=with_dh))
-            for tile in _tiles(inc)
-        ]
-
-    tiles = [t for c in _run_chunks(n_paths, workers, chunk) for t in c]
-    return {
-        key: (np.concatenate([t[key][0] for t in tiles]), np.concatenate([t[key][1] for t in tiles]))
-        for key in tiles[0]
-    }
+    """Each kind's (samples, valid mask) over the run; price keeps every path."""
+    draw = partial(gen_increments, grid, model.rho, seed)  # draw(n, start)
+    samples = _per_tile(n_paths, workers, draw, partial(_task_samples, kinds, model, market, opt, grid))
+    every = np.ones(n_paths, dtype=bool)
+    return {k: (samples[k], every if k == "price" else samples["valid"]) for k in kinds}
 
 
 def _reduce(kind, x, valid, confidence) -> GreekEstimate:

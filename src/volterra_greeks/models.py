@@ -25,15 +25,16 @@ no other module branches on the model type:
 * path(grid, inc)            V and its auxiliary driver paths (with the
                              kernel row integrals kappa_hat, taken from the
                              kernel matrix the path was convolved with);
-* weight_inputs / dh_inputs  further per-chunk grid vectors (and the dY/dH
-                             path) that the profiles below read;
+* weight_inputs(grid, inc)   further per-tile grid vectors that the
+                             profiles below read;
 * sigma_of(v)                the vol-of-spot map;
 * profiles(grid, bundle)     sigma(V), g1 = sigma'(V) IDV and
                              g2 = sigma''(V) IDV^2 + sigma'(V) IDDV on cells
                              0..n-1, where IDV_i = dt sum_{j<i} D_{t_j} V_{t_i}
                              and IDDV_i = dt^2 sum_{s,t} D_{t_t} D_{t_s} V_{t_i};
 * triple_term(grid, bundle)  iiint D_w D_s G dw ds dt for the gamma weight;
-* dtheta(grid, bundle, p)    dV/dp and its inner integral dt sum_j D_{t_j};
+* dtheta(grid, bundle, p)    dV/dp and its inner integral dt sum_j D_{t_j}
+                             (for p = H, AlphaRFSV convolves dY/dH itself);
 * rho                        correlation of the vol driver with the asset;
 * bs_sigma()                 the Black-Scholes vol of a degenerate model.
 
@@ -137,7 +138,7 @@ class PathBundle:
     Path arrays have time as the last axis (length n+1 for paths, n for
     increments) and may carry a leading path axis; ST is the terminal
     asset value alone.  aux holds the model's auxiliary paths and the
-    grid vectors its path, weight_inputs and dh_inputs computed, by name.
+    grid vectors its path and weight_inputs computed, by name.
     """
 
     inc: DriverIncrements
@@ -156,9 +157,6 @@ class _Model:
 
     def weight_inputs(self, grid: TimeGrid, inc: DriverIncrements) -> dict:
         return {}
-
-    def dh_inputs(self, grid: TimeGrid, inc: DriverIncrements) -> dict:
-        raise UnsupportedError(f"H-derivative paths are only defined for AlphaRFSV, got {type(self).__name__}")
 
     def triple_term(self, grid: TimeGrid, b: PathBundle):
         raise UnsupportedError(
@@ -194,7 +192,7 @@ def kernel_cache():
     _convolve keys its matrices by (builder, KernelSpec, TimeGrid), all
     immutable, and keeps them until the block exits.  The cache lives in
     a context variable: threads reach it through a copy of the caller's
-    context (greeks._run_chunks), and concurrent blocks in other threads
+    context (greeks._per_tile), and concurrent blocks in other threads
     keep their own.
     """
     token = _KERNELS.set({})
@@ -259,10 +257,6 @@ class AlphaRFSV(_Model):
         y, kappa_hat = _convolve(kernel_matrix, self.kernel, grid, inc)
         return _exp_factor(self.v0, self.xi, self.alpha, self.kernel, grid, y), {"Y": y, "kappa_hat": kappa_hat}
 
-    def dh_inputs(self, grid, inc):
-        dydh, kappa_hat_dh = _convolve(kernel_dh_matrix, self.kernel, grid, inc)
-        return {"dydh": dydh, "kappa_hat_dh": kappa_hat_dh}
-
     def profiles(self, grid, b):
         v = b.V[..., :-1]
         rk = self.rho * self.xi * b.aux["kappa_hat"][:-1]
@@ -280,22 +274,21 @@ class AlphaRFSV(_Model):
         """dV/dtheta for theta = v0 or H, and its inner integral.
 
         D_t (dV/dtheta)_s = rho xi (dV/dtheta_s K(s,t) + [theta=H] V_s dK/dH(s,t)).
-        The H derivative V (xi dY/dH - alpha xi^2 dr/dH / 2) needs a bundle
-        built with with_dh=True.
+        The H derivative V (xi dY/dH - alpha xi^2 dr/dH / 2) convolves dY/dH
+        and the row integrals of dK/dH from the bundle's increments.
         """
         rx = self.rho * self.xi
         if which == "v0":
             a = b.V / self.v0
             return a, rx * a * b.aux["kappa_hat"]
         if which == "H":
-            if "dydh" not in b.aux:
-                raise ValueError("bundle was built without with_dh=True")
+            dydh, kappa_hat_dh = _convolve(kernel_dh_matrix, self.kernel, grid, b.inc)
             # a and its inner integral each in one buffer, with the same arithmetic
-            a = np.multiply(self.xi, b.aux["dydh"])
+            a = np.multiply(self.xi, dydh)
             a -= 0.5 * self.alpha * self.xi**2 * kernel_variance_dh(self.kernel, grid.times)
             a *= b.V
             ida = a * b.aux["kappa_hat"]
-            ida += b.V * b.aux["kappa_hat_dh"]
+            ida += b.V * kappa_hat_dh
             ida *= rx
             return a, ida
         raise ValueError(f"which must be 'v0' or 'H', got {which!r}")
@@ -506,13 +499,9 @@ def price_path(market: MarketSpec, model: ModelSpec, grid: TimeGrid, v: np.ndarr
     return market.s0 * np.exp(market.r * grid.T - 0.5 * grid.dt * _dot(sv, sv) + _dot(sv, dw))
 
 
-def make_bundle(
-    model: ModelSpec, market: MarketSpec, grid: TimeGrid, inc: DriverIncrements, with_dh: bool = False
-) -> PathBundle:
+def make_bundle(model: ModelSpec, market: MarketSpec, grid: TimeGrid, inc: DriverIncrements) -> PathBundle:
     """Simulate all paths a Greek estimate needs and cache the model's grid vectors."""
     v, aux = vol_path(model, grid, inc)
     st = price_path(market, model, grid, v, inc.dW)
     aux.update(model.weight_inputs(grid, inc))
-    if with_dh:
-        aux.update(model.dh_inputs(grid, inc))
     return PathBundle(inc=inc, V=v, ST=st, aux=aux)

@@ -10,9 +10,10 @@ Two oracles, both free of any Malliavin machinery:
     the per-path difference quotients are low-variance samples of the
     bump-and-reprice Greek.  An H bump rebuilds the kernel against the
     unchanged driver increments.  Several kinds share one pass, which
-    prices each distinct bumped setup once.  Like the estimators, the
-    pass draws each 8192-path chunk once and prices it in 1024-path
-    tiles, with each kernel matrix built once per call.
+    prices each distinct bumped setup once.  The pass runs on the
+    estimators' tile driver (greeks._per_tile): one draw per 8192-path
+    chunk, prices per 1024-path tile, each kernel matrix built once per
+    call.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.stats import norm
 
-from .greeks import GreekEstimate, OptionSpec, _reduce, _run_chunks, _tiles, _validate_run, payoff
+from .greeks import GreekEstimate, OptionSpec, _per_tile, _reduce, _validate_run, payoff
 from .models import MarketSpec, ModelSpec, UnsupportedError, price_path, vol_path
 from .paths import TimeGrid, gen_increments
 
@@ -160,7 +161,6 @@ def fd_greek(
     seed: int,
     bump: Optional[BumpSpec] = None,
     confidence: float = 0.99,
-    crn: bool = True,
     workers: int = 1,
 ):
     """Finite-difference estimates, bump and reprice.
@@ -170,14 +170,15 @@ def fd_greek(
     pass over the paths: per chunk the increments are drawn once; per
     tile of the chunk one vol path is built per distinct bumped model (s0
     and r bumps share the unbumped one) and each distinct (model, market)
-    setup is priced once.  The estimates equal those of one call per kind.
+    setup is priced once.  Every setup reuses the same draws (common
+    random numbers), and each kind's difference quotient is formed once
+    over all paths.  The estimates equal those of one call per kind.
 
     Central differences by default; the rate falls back to a forward
     difference when r - h would leave the domain.  gamma uses the
     3-point second difference in s0.  bump sets the size for every
     requested kind that bumps its parameter and must match at least one;
-    the other kinds use default_bump.  With crn=False the k-th setup of
-    every kind draws from its own substream instead of sharing draws.
+    the other kinds use default_bump.
     """
     single = isinstance(kinds, str)
     kinds = [kinds] if single else list(kinds)
@@ -191,36 +192,27 @@ def fd_greek(
         bumped = sorted({_FD_PARAM[k] for k in kinds})
         raise ValueError(f"kinds {kinds} bump {bumped}, got a bump for {bump.parameter!r}")
 
-    # plans[i] = (price keys of kind i's setups, its quotient); a key is
-    # (draw index, model, market), the draw index 0 under common numbers.
-    # draws: draw index -> model -> its markets, each setup listed once.
-    plans, draws = [], {}
+    # plans[i] = (kind i's (model, market) setups, its quotient);
+    # setups: model -> its markets, each distinct setup listed once
+    plans, setups = [], {}
     for kind in kinds:
-        setups, quotient = _plan(kind, model, market, bump)
-        keys = [(0 if crn else k, md, mk) for k, (md, mk) in enumerate(setups)]
-        for k, md, mk in keys:
-            markets = draws.setdefault(k, {}).setdefault(md, [])
+        pairs, quotient = _plan(kind, model, market, bump)
+        for md, mk in pairs:
+            markets = setups.setdefault(md, [])
             if mk not in markets:
                 markets.append(mk)
-        plans.append((keys, quotient))
+        plans.append((pairs, quotient))
 
-    def chunk(start, stop):
-        prices = {}
-        for k, by_model in draws.items():
-            inc = gen_increments(grid, model.rho, seed, stop - start, k * n_paths + start)
-            for tile in _tiles(inc):
-                for md, markets in by_model.items():
-                    v = vol_path(md, grid, tile)[0]
-                    for mk in markets:
-                        st = price_path(mk, md, grid, v, tile.dW)
-                        prices.setdefault((k, md, mk), []).append(math.exp(-mk.r * opt.maturity) * payoff(opt, st))
-                    del v  # one tile's vol path (and one draw) alive at a time
-            del inc
-        prices = {key: np.concatenate(parts) for key, parts in prices.items()}
-        return [quotient(*(prices[key] for key in keys)) for keys, quotient in plans]
+    def prices(tile):
+        out = {}
+        for md, markets in setups.items():
+            v = vol_path(md, grid, tile)[0]
+            for mk in markets:
+                out[md, mk] = math.exp(-mk.r * opt.maturity) * payoff(opt, price_path(mk, md, grid, v, tile.dW))
+            del v  # one vol path alive at a time
+        return out
 
-    ests = []
-    for kind, parts in zip(kinds, zip(*_run_chunks(n_paths, workers, chunk))):
-        x = np.concatenate(parts)
-        ests.append(_reduce(kind, x, np.ones(x.shape, dtype=bool), confidence))
+    px = _per_tile(n_paths, workers, partial(gen_increments, grid, model.rho, seed), prices)
+    xs = [quotient(*(px[p] for p in pairs)) for pairs, quotient in plans]
+    ests = [_reduce(kind, x, np.ones(x.shape, dtype=bool), confidence) for kind, x in zip(kinds, xs)]
     return ests[0] if single else ests

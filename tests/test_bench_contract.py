@@ -56,7 +56,7 @@ def test_traced_fine_grid_run_counts_blocked_convolutions():
     t0 = perf_counter()
     with tracer.installed(mods, tracing.layers_table(DEGENERATE_INTG)):
         inc = gen_increments(grid, model.rho, seed=3, n_paths=16)
-        greeks.make_bundle(model, market, grid, inc, with_dh=True)
+        model.dtheta(grid, greeks.make_bundle(model, market, grid, inc), "H")
         oracles.fd_greek("hsens", model, market, opt, grid, 16, seed=3)
     wall = perf_counter() - t0
     # every wrapped name is put back

@@ -99,6 +99,16 @@ def test_load_config_round_trip(tmp_path):
         (lambda s: s.replace("h = 0.14", "h = 0.14\nsigma = 0.2"), "model.sigma"),
         (lambda s: s + "\n[output]\nformat = csv\n", "output.format"),
         (lambda s: s.replace("seed = 7", "seed = -1"), "numerics.seed"),
+        # malformed files: section.key where the parser knows it, else the line
+        (lambda s: s.replace("kind = alpharfsv", "kind = alpharfsv\nkind = mixed"), "model.kind: duplicate key (line 3)"),
+        (lambda s: s + "\n[model]\nxi = 0.1\n", "model: duplicate section (line 27)"),
+        (lambda s: "v0 = 0.2\n" + s, "line 1: key outside any [section]"),
+        (lambda s: s.replace("seed = 7", "seed = 7\njunk"), "line 22: expected key = value"),
+        (lambda s: s.replace("k = 100", "k = 100%"), "option.k: expected a number"),
+        # non-finite numbers
+        (lambda s: s.replace("xi = 0.0", "xi = nan"), "model.xi: expected a finite number"),
+        (lambda s: s.replace("s0 = 100", "s0 = inf"), "market.s0: expected a finite number"),
+        (lambda s: s.replace("k = 100", "k = inf"), "option.k: expected a finite number"),
     ],
 )
 def test_config_errors_carry_field_path(tmp_path, mangle, field):
@@ -106,6 +116,36 @@ def test_config_errors_carry_field_path(tmp_path, mangle, field):
     with pytest.raises(ConfigError) as exc:
         load_config(path)
     assert field in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text,field",
+    [
+        ("[model]\nkind = alpharfsv\nkind = mixed\n", "model.kind"),
+        ("[model]\nkind = alpharfsv\n[model]\n", "line 3"),
+        ("kind = alpharfsv\n", "line 1"),
+        ("[model]\nkind alpharfsv\n", "line 2"),
+        (BS_CFG.replace("xi = 0.0", "xi = nan"), "model.xi"),
+        (BS_CFG.replace("r = 0.0", "r = nan"), "market.r"),
+        (BS_CFG.replace("s0 = 100", "s0 = inf"), "market.s0"),
+        (BS_CFG.replace("k = 100", "k = nan"), "option.k"),
+        (BS_CFG.replace("k = 100", "k = inf"), "option.k"),
+    ],
+    ids=["duplicate-key", "duplicate-section", "no-section", "no-equals", "xi-nan", "r-nan", "s0-inf", "k-nan", "k-inf"],
+)
+def test_malformed_or_non_finite_config_exits_2(tmp_path, capsys, text, field):
+    assert main(["greek", "--config", _write(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and field in captured.err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(BS_CFG.replace("payoff = call", "payoff = caf\xe9").encode("latin-1"))
+    assert main(["greek", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not UTF-8 text" in captured.err
 
 
 def test_unknown_key_exit_2(tmp_path, capsys):

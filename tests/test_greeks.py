@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from volterra_greeks import greeks, weights
 from volterra_greeks.greeks import (
     GREEK_KINDS,
     GreekEstimate,
@@ -26,9 +27,11 @@ from volterra_greeks.models import (
     RoughSteinStein,
     SteinStein,
     UnsupportedError,
+    make_bundle,
 )
 from volterra_greeks.oracles import bs_price_greeks
-from volterra_greeks.paths import TimeGrid
+from volterra_greeks.paths import TimeGrid, gen_increments
+from volterra_greeks.weights import weight_components
 
 # degenerate constant-vol setting: the weights are exact, so the only
 # error is Monte-Carlo noise
@@ -196,6 +199,31 @@ def test_stderr_scaling_stable():
 def test_no_paths_discarded_at_standard_parameters():
     est = estimate("delta", FIG_MODEL, FIG_MKT, OPT, GRID, 20_000, seed=43)
     assert est.n_discarded == 0
+
+
+def test_discarded_paths_are_the_same_for_every_weighted_kind(monkeypatch):
+    # a threshold inside the intG distribution discards some paths; the
+    # estimator's mask (greeks) and the weights' NaNs (weights) must agree
+    threshold = 0.55
+    monkeypatch.setattr(greeks, "DEGENERATE_INTG", threshold)
+    monkeypatch.setattr(weights, "DEGENERATE_INTG", threshold)
+    monkeypatch.setattr(greeks, "_CHUNK", 512)
+    monkeypatch.setattr(greeks, "_TILE", 256)
+    n_paths = 512 + 356  # two chunks, the second ending in a 100-path tile
+    grid, kinds = TimeGrid(T=1.0, n=16), ["price", "delta", "hsens"]
+    runs = [estimate_many(kinds, FIG_MODEL, FIG_MKT, OPT, grid, n_paths, seed=3, workers=w) for w in (1, 3)]
+    assert runs[0] == runs[1]
+    inc = gen_increments(grid, FIG_MODEL.rho, seed=3, n_paths=n_paths)
+    kept = np.abs(weight_components(FIG_MODEL, grid, make_bundle(FIG_MODEL, FIG_MKT, grid, inc)).intG) >= threshold
+    dropped = n_paths - int(np.count_nonzero(kept))
+    assert 0 < dropped < n_paths // 2
+    price, delta, hsens = runs[0]
+    assert (price.n_paths, price.n_discarded) == (n_paths, 0)
+    for est in (delta, hsens):
+        assert (est.n_paths, est.n_discarded) == (n_paths - dropped, dropped)
+    samples = greeks._all_task_samples(kinds, FIG_MODEL, FIG_MKT, OPT, grid, n_paths, 3, 1)
+    assert samples["price"][1].all()
+    assert np.array_equal(samples["delta"][1], kept) and np.array_equal(samples["hsens"][1], kept)
 
 
 def test_degenerate_model_raises_numerical_failure():

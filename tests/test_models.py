@@ -333,16 +333,13 @@ def test_dtheta_v0():
 def test_dtheta_h_xi_zero_and_unsupported():
     g = TimeGrid(T=1.0, n=16)
     m0 = AlphaRFSV(v0=0.62, xi=0.0, alpha=1.0, rho=-0.3, kernel=K14)
-    b0 = _bundle_for(m0, g, with_dh=True)
+    b0 = _bundle_for(m0, g)
     assert np.all(m0.dtheta(g, b0, "H")[0] == 0.0)
     with pytest.raises(UnsupportedError):
         BlackScholes(sigma=0.2).dtheta(g, _bundle_for(BlackScholes(sigma=0.2), g, rho=0.0), "H")
     rss = ALL_MODELS[2]
     with pytest.raises(UnsupportedError):
         rss.dtheta(g, _bundle_for(rss, g), "v0")
-    m = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.3, kernel=K14)
-    with pytest.raises(ValueError):
-        m.dtheta(g, _bundle_for(m, g), "H")  # bundle lacks dY/dH
 
 
 def test_dtheta_h_matches_finite_difference():
@@ -351,7 +348,7 @@ def test_dtheta_h_matches_finite_difference():
     m = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.3, kernel=K14)
     g = TimeGrid(T=1.0, n=32)
     inc = _single(gen_increments(g, m.rho, seed=9))
-    b = make_bundle(m, MKT, g, inc, with_dh=True)
+    b = make_bundle(m, MKT, g, inc)
     got = m.dtheta(g, b, "H")[0]
     h = 1e-5
     vps = []
@@ -362,11 +359,11 @@ def test_dtheta_h_matches_finite_difference():
     assert np.allclose(got[1:], fd[1:], rtol=1e-3, atol=1e-9)
 
 
-def test_with_dh_only_for_alpharfsv():
+@pytest.mark.parametrize("model", ALL_MODELS[1:], ids=lambda m: type(m).__name__)
+def test_dtheta_h_only_for_alpharfsv(model):
     g = TimeGrid(T=1.0, n=8)
-    inc = _single(gen_increments(g, -0.5, seed=0))
     with pytest.raises(UnsupportedError):
-        make_bundle(ALL_MODELS[2], MKT, g, inc, with_dh=True)
+        model.dtheta(g, _bundle_for(model, g), "H")
 
 
 @pytest.mark.parametrize("kernel", [K14, KBM], ids=["rough", "h_half_eps_zero"])
@@ -399,13 +396,19 @@ def test_bundle_builds_each_kernel_matrix_once(monkeypatch, kernel):
         wrapped = counting(name)
         for mod in (models, paths):
             monkeypatch.setattr(mod, name, wrapped)
-    b = make_bundle(model, MKT, grid, inc, with_dh=True)
-    assert builds == {"kernel_matrix": 1, "kernel_dh_matrix": 1}
+    b = make_bundle(model, MKT, grid, inc)
+    assert builds == {"kernel_matrix": 1, "kernel_dh_matrix": 0}
     # the path and the row integrals share one matrix and keep their values bit for bit
     assert np.array_equal(b.aux["Y"], want_y)
-    assert np.array_equal(b.aux["dydh"], want_dydh)
     assert np.array_equal(b.aux["kappa_hat"], want_kh)
-    assert np.array_equal(b.aux["kappa_hat_dh"], want_khdh)
+    dydh, kappa_hat_dh = models._convolve(models.kernel_dh_matrix, kernel, grid, inc)  # as dtheta(H) does
+    assert builds == {"kernel_matrix": 1, "kernel_dh_matrix": 1}
+    assert np.array_equal(dydh, want_dydh)
+    assert np.array_equal(kappa_hat_dh, want_khdh)
+    with models.kernel_cache():  # dtheta(H) on several tiles of one call: one dK/dH build
+        model.dtheta(grid, b, "H")
+        model.dtheta(grid, b, "H")
+    assert builds == {"kernel_matrix": 1, "kernel_dh_matrix": 2}
 
     builds.update(kernel_matrix=0)
     mixed = MixedAlphaRFSV(v0=0.62, xi_h=0.21, xi_hp=0.3, alpha=1.0, rho=-0.5, kernel_h=kernel, kernel_hp=K30)

@@ -128,14 +128,6 @@ def test_fd_digital_delta_wide_bump():
     assert abs(est.value - ref) < 3 * est.stderr + 2e-4
 
 
-def test_crn_cuts_variance():
-    bs = BlackScholes(sigma=0.2)
-    mkt = MarketSpec(s0=100.0, r=0.0)
-    crn = fd_greek("delta", bs, mkt, OPT, GRID, 10_000, seed=83, crn=True)
-    indep = fd_greek("delta", bs, mkt, OPT, GRID, 10_000, seed=83, crn=False)
-    assert indep.stderr >= 5.0 * crn.stderr
-
-
 def test_fd_deterministic():
     model = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.05, kernel=KernelSpec(H=0.14, eps=1e-6))
     mkt = MarketSpec(s0=100.0, r=0.05)
@@ -200,13 +192,12 @@ def _per_kind(kinds, model, mkt, n_paths, seed, bump=None, **kw):
         (["vega", "delta"], 0.05, BumpSpec("v0", 0.02, True)),
     ],
 )
-@pytest.mark.parametrize("crn", [True, False])
 @pytest.mark.parametrize("workers", [1, 3])
-def test_fd_sequence_equals_per_kind_calls(kinds, r, bump, crn, workers):
+def test_fd_sequence_equals_per_kind_calls(kinds, r, bump, workers):
     mkt = MarketSpec(s0=100.0, r=r)
-    got = fd_greek(kinds, ROUGH, mkt, OPT, GRID16, TWO_CHUNKS, seed=5, bump=bump, crn=crn, workers=workers)
+    got = fd_greek(kinds, ROUGH, mkt, OPT, GRID16, TWO_CHUNKS, seed=5, bump=bump, workers=workers)
     assert isinstance(got, list) and [e.kind for e in got] == kinds
-    assert got == _per_kind(kinds, ROUGH, mkt, TWO_CHUNKS, 5, bump=bump, crn=crn, workers=workers)
+    assert got == _per_kind(kinds, ROUGH, mkt, TWO_CHUNKS, 5, bump=bump, workers=workers)
 
 
 def test_fd_sequence_draws_once_and_prices_each_setup_once(monkeypatch):

@@ -58,14 +58,13 @@ def test_estimates_do_not_depend_on_tile_size(monkeypatch, name, n):
 
 
 @pytest.mark.parametrize("n", [16, 600])
-@pytest.mark.parametrize("crn", [True, False])
 @pytest.mark.parametrize("name", sorted(FD_KINDS))
-def test_fd_sequences_do_not_depend_on_tile_size(monkeypatch, name, crn, n):
+def test_fd_sequences_do_not_depend_on_tile_size(monkeypatch, name, n):
     grid = TimeGrid(T=1.0, n=n)
     results = []
     for tile in TILES:
         sizes = _tiled(monkeypatch, oracles, "vol_path", tile)
-        results.append(fd_greek(FD_KINDS[name], MODELS[name], MARKET, OPTION, grid, N_PATHS, seed=31, crn=crn))
+        results.append(fd_greek(FD_KINDS[name], MODELS[name], MARKET, OPTION, grid, N_PATHS, seed=31))
         # every vol path covers one tile
         assert sorted(set(sizes)) == sorted(set(_tile_sizes(tile)))
     assert results[0] == results[1] == results[2]

@@ -221,7 +221,7 @@ def test_vega_numerator_reductions():
     grid = TimeGrid(T=1.0, n=64)
     m0 = AlphaRFSV(v0=0.25, xi=0.0, alpha=1.0, rho=-0.3, kernel=K14)
     inc = gen_increments(grid, m0.rho, seed=4, n_paths=8)
-    b = make_bundle(m0, MKT, grid, inc, with_dh=True)
+    b = make_bundle(m0, MKT, grid, inc)
     w0 = weight_components(m0, grid, b)
     n_num, int_dn = assemble_vega_numerator(m0, grid, b, "v0", w0)
     wt = inc.dW.sum(axis=-1)
