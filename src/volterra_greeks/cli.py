@@ -119,14 +119,15 @@ def _ini_error(e: configparser.Error) -> ConfigError:
 
 
 def _raw(cp, section, key, default=_MISSING):
+    """The key's text; a key with a default may be missing, and so may its section."""
     cp.seen.add((section, key))
-    if not cp.has_section(section):
-        raise ConfigError(f"{section}: missing required section")
     if cp.has_option(section, key):
         return cp.get(section, key)
-    if default is _MISSING:
-        raise ConfigError(f"{section}.{key}: missing required key")
-    return default
+    if default is not _MISSING:
+        return default
+    if not cp.has_section(section):
+        raise ConfigError(f"{section}: missing required section")
+    raise ConfigError(f"{section}.{key}: missing required key")
 
 
 def _number(cp, section, key, default=_MISSING, cast=float):
@@ -174,6 +175,8 @@ def load_config(path: str) -> RunConfig:
         raise _ini_error(e) from None
     except UnicodeDecodeError:
         raise ConfigError(f"config file is not UTF-8 text: {path}") from None
+    for key in cp.defaults():  # configparser would copy these into every section
+        raise ConfigError(f"{cp.default_section}.{key}: unknown key (no [{cp.default_section}] key is read)")
 
     eps = _number(cp, "numerics", "epsilon", 1e-6)
     if eps < 0.0:

@@ -18,10 +18,11 @@ At H = 1/2, eps = 0 the kernel collapses to the constant 1 and
 kappa(t) = r(t) = t; those reductions are exact in floating point.
 
 On a uniform grid K(t_i, t_j) depends on the lag i - j only, so the
-kernel matrices are Toeplitz: kernel_matrix and kernel_dh_matrix evaluate
-the kernel once per lag l = 1..n, at x = t_l - t_0 + eps, and gather the
-strictly lower-triangular matrix from that vector.  They reject a grid
-that is not uniformly spaced, on which the lag structure does not hold.
+kernel matrices are Toeplitz: kernel_matrix, kernel_dh_matrix and
+cell_variance_matrix evaluate their weight once per lag l = 1..n, at
+x = t_l - t_0 (+ eps), and gather the strictly lower-triangular matrix
+from that vector.  They reject a grid that is not uniformly spaced, on
+which the lag structure does not hold.
 """
 
 from __future__ import annotations
@@ -161,13 +162,10 @@ def cell_variance_matrix(spec: KernelSpec, times: np.ndarray) -> np.ndarray:
 
     Scales each kernel weight so the per-cell variance contribution of the
     discrete scheme is exact:  sum_j W[i,j]^2 dt = r(t_i) by telescoping.
+    Cell j of row i spans the lags x_{i-j-1} .. x_{i-j}, so the weight is
+    taken once per lag; times must be uniformly spaced, ValueError otherwise.
     """
-    n = len(times) - 1
-    dt = times[1] - times[0]
+    hi = _lags(times)  # x_l, the far end of the cell at lag l; hi[0] is dt
+    lo = np.concatenate([[0.0], hi[:-1]])
     h2 = 2.0 * spec.H
-    lo = times[:, None] - times[None, 1 : n + 1]  # t_i - t_{j+1}
-    hi = times[:, None] - times[None, :n]  # t_i - t_j
-    mask = hi > 0.0
-    out = np.zeros((n + 1, n))
-    out[mask] = np.sqrt(((hi[mask] + spec.eps) ** h2 - (lo[mask] + spec.eps) ** h2) / dt)
-    return out
+    return _toeplitz_lower(np.sqrt(((hi + spec.eps) ** h2 - (lo + spec.eps) ** h2) / hi[0]))

@@ -22,11 +22,10 @@ Variants (sigma is the vol-of-spot map applied to V):
 Each class supplies everything the estimator needs to know about it, so
 no other module branches on the model type:
 
-* path(grid, inc)            V and its auxiliary driver paths (with the
-                             kernel row integrals kappa_hat, taken from the
-                             kernel matrix the path was convolved with);
-* weight_inputs(grid, inc)   further per-tile grid vectors that the
-                             profiles below read;
+* path(grid, inc)            V and the per-tile arrays the members below
+                             read (the kernel row integrals kappa_hat, taken
+                             from the kernel matrix the path was convolved
+                             with, and the mixed model's two factors);
 * sigma_of(v)                the vol-of-spot map;
 * profiles(grid, bundle)     sigma(V), g1 = sigma'(V) IDV and
                              g2 = sigma''(V) IDV^2 + sigma'(V) IDDV on cells
@@ -133,12 +132,12 @@ class MarketSpec:
 
 @dataclass
 class PathBundle:
-    """Simulated paths plus the model's per-run grid vectors.
+    """Simulated paths plus what the model's weight members read.
 
     Path arrays have time as the last axis (length n+1 for paths, n for
     increments) and may carry a leading path axis; ST is the terminal
-    asset value alone.  aux holds the model's auxiliary paths and the
-    grid vectors its path and weight_inputs computed, by name.
+    asset value alone.  aux holds, by name, the arrays the model's path
+    computed for its profiles, triple_term and dtheta, and nothing else.
     """
 
     inc: DriverIncrements
@@ -155,9 +154,6 @@ class _Model:
     def sigma_of(self, v):
         return v
 
-    def weight_inputs(self, grid: TimeGrid, inc: DriverIncrements) -> dict:
-        return {}
-
     def triple_term(self, grid: TimeGrid, b: PathBundle):
         raise UnsupportedError(
             f"gamma needs the triple D_sG integral, not available for {type(self).__name__}"
@@ -171,9 +167,10 @@ class _Model:
 
 
 def _exp_factor(v0, xi, alpha, kernel, grid, y):
-    """v0 exp(xi y - alpha xi^2 r(t) / 2), built in one buffer the size of y."""
+    """v0 exp(xi y - alpha xi^2 r(t) / 2), built in y's buffer (y is not kept)."""
     rt = kernel_variance(kernel, grid.times)
-    v = np.multiply(xi, y)
+    v = y
+    v *= xi
     v -= 0.5 * alpha * xi * xi * rt
     np.exp(v, out=v)
     v *= v0
@@ -255,7 +252,7 @@ class AlphaRFSV(_Model):
 
     def path(self, grid, inc):
         y, kappa_hat = _convolve(kernel_matrix, self.kernel, grid, inc)
-        return _exp_factor(self.v0, self.xi, self.alpha, self.kernel, grid, y), {"Y": y, "kappa_hat": kappa_hat}
+        return _exp_factor(self.v0, self.xi, self.alpha, self.kernel, grid, y), {"kappa_hat": kappa_hat}
 
     def profiles(self, grid, b):
         v = b.V[..., :-1]
@@ -283,8 +280,9 @@ class AlphaRFSV(_Model):
             return a, rx * a * b.aux["kappa_hat"]
         if which == "H":
             dydh, kappa_hat_dh = _convolve(kernel_dh_matrix, self.kernel, grid, b.inc)
-            # a and its inner integral each in one buffer, with the same arithmetic
-            a = np.multiply(self.xi, dydh)
+            # a in dY/dH's buffer and its inner integral in one more, with the same arithmetic
+            a = dydh
+            a *= self.xi
             a -= 0.5 * self.alpha * self.xi**2 * kernel_variance_dh(self.kernel, grid.times)
             a *= b.V
             ida = a * b.aux["kappa_hat"]
@@ -323,7 +321,7 @@ class MixedAlphaRFSV(_Model):
         yp, khp = _convolve(kernel_matrix, self.kernel_hp, grid, inc)
         vh = _exp_factor(self.v0, self.xi_h, self.alpha, self.kernel_h, grid, y)
         vhp = _exp_factor(self.v0, self.xi_hp, self.alpha, self.kernel_hp, grid, yp)
-        aux = {"Y": y, "Yp": yp, "Vh": vh, "Vhp": vhp, "kappa_hat": kh, "kappa_hat_p": khp}
+        aux = {"Vh": vh, "Vhp": vhp, "kappa_hat": kh, "kappa_hat_p": khp}
         return 0.5 * (vh + vhp), aux
 
     def profiles(self, grid, b):
@@ -344,11 +342,9 @@ class _StaticDV(_Model):
     IDV_i = dt sum_{l=1}^{i} d_l with d the lag profile of _dv_lag.
     """
 
-    def weight_inputs(self, grid, inc):
-        return {"idv": grid.dt * np.concatenate([[0.0], np.cumsum(self._dv_lag(grid)[1:])])}
-
     def profiles(self, grid, b):
-        return b.V[..., :-1], b.aux["idv"][:-1], np.zeros(grid.n)
+        idv = grid.dt * np.concatenate([[0.0], np.cumsum(self._dv_lag(grid)[1:-1])])  # cells 0..n-1
+        return b.V[..., :-1], idv, np.zeros(grid.n)
 
     def triple_term(self, grid, b):
         return np.zeros(b.V.shape[:-1])
@@ -377,19 +373,21 @@ class RoughSteinStein(_StaticDV):
     def path(self, grid, inc):
         """V_i = v0 + kappa sum_{j<i} (theta - V_j) dt + nu Y_i, left point."""
         y = _convolve(kernel_matrix, self.kernel, grid, inc)[0]
-        v = np.empty_like(y)
+        v = y  # V_i overwrites Y_i once it is read (Y_0 = 0 is never read)
         v[..., 0] = self.v0
         drift = np.zeros(y.shape[:-1])
         for i in range(1, grid.n + 1):
             drift += (self.theta - v[..., i - 1]) * grid.dt
             v[..., i] = self.v0 + self.kappa * drift + self.nu * y[..., i]
-        return v, {"Y": y}
+        return v, {}
 
     def _dv_lag(self, grid):
         """d_l = rho nu (K(t_l, 0) - kappa I(l)), I(l) = int_0^{t_l} K(u, 0) e^{-kappa (t_l - u)} du."""
         ker = self.kernel
         if ker.H < 0.5 and ker.eps == 0.0:
-            raise ValueError("RoughSteinStein Malliavin profile requires eps > 0 when H < 1/2")
+            raise UnsupportedError(
+                f"RoughSteinStein weights need kernel eps > 0 when H < 1/2 (D V is singular), got H={ker.H}, eps=0"
+            )
         t = grid.times
         # I by exact kernel cell masses against a trapezoidal exponential factor
         e = np.exp(-self.kappa * t)
@@ -421,7 +419,7 @@ class AlphaSV(_Model):
         z = np.zeros(inc.dZ.shape[:-1] + (grid.n + 1,))
         np.cumsum(inc.dZ, axis=-1, out=z[..., 1:])
         v = self.v0 * np.exp(self.xi * z - 0.5 * self.alpha * self.xi**2 * grid.times)
-        return v, {"Y": z}
+        return v, {}
 
     def profiles(self, grid, b):
         s = np.sqrt(b.V[..., :-1])
@@ -452,7 +450,7 @@ class SteinStein(_StaticDV):
         v[..., 0] = self.v0
         for i in range(grid.n):
             v[..., i + 1] = v[..., i] + self.kappa * (self.theta - v[..., i]) * grid.dt + self.nu * dz[..., i]
-        return v, {"Y": None}
+        return v, {}
 
     def _dv_lag(self, grid):
         return self.rho * self.nu * np.exp(-self.kappa * grid.times)
@@ -471,7 +469,7 @@ class BlackScholes(_StaticDV):
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
     def path(self, grid, inc):
-        return np.full(inc.dZ.shape[:-1] + (grid.n + 1,), self.sigma), {"Y": None}
+        return np.full(inc.dZ.shape[:-1] + (grid.n + 1,), self.sigma), {}
 
     def _dv_lag(self, grid):
         return np.zeros(grid.n + 1)
@@ -489,7 +487,7 @@ ModelSpec = Union[AlphaRFSV, MixedAlphaRFSV, RoughSteinStein, AlphaSV, SteinStei
 
 
 def vol_path(model: ModelSpec, grid: TimeGrid, inc: DriverIncrements):
-    """Volatility factor path; returns (V, dict of auxiliary driver paths)."""
+    """Volatility factor path; returns (V, the dict that becomes PathBundle.aux)."""
     return model.path(grid, inc)
 
 
@@ -500,8 +498,7 @@ def price_path(market: MarketSpec, model: ModelSpec, grid: TimeGrid, v: np.ndarr
 
 
 def make_bundle(model: ModelSpec, market: MarketSpec, grid: TimeGrid, inc: DriverIncrements) -> PathBundle:
-    """Simulate all paths a Greek estimate needs and cache the model's grid vectors."""
+    """Simulate all paths a Greek estimate needs."""
     v, aux = vol_path(model, grid, inc)
     st = price_path(market, model, grid, v, inc.dW)
-    aux.update(model.weight_inputs(grid, inc))
     return PathBundle(inc=inc, V=v, ST=st, aux=aux)

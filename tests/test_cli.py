@@ -99,6 +99,8 @@ def test_load_config_round_trip(tmp_path):
         (lambda s: s.replace("h = 0.14", "h = 0.14\nsigma = 0.2"), "model.sigma"),
         (lambda s: s + "\n[output]\nformat = csv\n", "output.format"),
         (lambda s: s.replace("seed = 7", "seed = -1"), "numerics.seed"),
+        pytest.param(lambda s: "[DEFAULT]\nseed = 7\n" + s.replace("seed = 7\n", ""), "DEFAULT.seed: unknown key",
+                     id="default-section-DEFAULT.seed"),
         # malformed files: section.key where the parser knows it, else the line
         (lambda s: s.replace("kind = alpharfsv", "kind = alpharfsv\nkind = mixed"), "model.kind: duplicate key (line 3)"),
         (lambda s: s + "\n[model]\nxi = 0.1\n", "model: duplicate section (line 27)"),
@@ -260,6 +262,52 @@ kinds = vega
 """
     assert main(["greek", "--config", _write(tmp_path, cfg)]) == 3
     assert "unsupported" in capsys.readouterr().err
+
+
+RSS_NO_EPS_CFG = """\
+[model]
+kind = rough_stein_stein
+v0 = 0.3
+kappa = 1.0
+theta = 0.25
+nu = 0.4
+rho = -0.6
+h = 0.3
+
+[market]
+s0 = 100
+
+[option]
+k = 100
+t = 1.0
+
+[numerics]
+n_steps = 16
+n_paths = 500
+seed = 1
+epsilon = 0
+"""
+
+
+def test_rough_stein_stein_without_eps_prices_but_has_no_weights(tmp_path, capsys):
+    # the price reads no Malliavin profile, so only the weighted kinds need eps > 0
+    path = _write(tmp_path, RSS_NO_EPS_CFG)
+    assert main(["price", "--config", path]) == 0
+    assert capsys.readouterr().out.startswith("# volterra-greeks v2 schema")
+    assert main(["greek", "--config", path]) == 3  # delta by default
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("unsupported: ") and "eps > 0" in captured.err
+
+
+def test_task_section_may_be_left_out(tmp_path, capsys):
+    # every [task] key is optional for price and greek; converge still needs ns_schedule
+    path = _write(tmp_path, BS_CFG[: BS_CFG.index("[task]")])
+    for command in ("price", "greek"):
+        assert main([command, "--config", path]) == 0
+        assert capsys.readouterr().out.startswith("# volterra-greeks v2 schema")
+    assert main(["converge", "--config", path]) == 2
+    assert "config error: task.ns_schedule: missing required key" in capsys.readouterr().err
 
 
 def test_variant_derived_changes_nothing(tmp_path):

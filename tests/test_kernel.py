@@ -163,7 +163,7 @@ def test_kernel_matrices_are_toeplitz_and_match_pointwise(T, n, H, eps):
     assert np.all(np.abs(dmat[i, j] - kernel_dh(spec, times[i], times[j])) <= 1e-13 * scale)
 
 
-@pytest.mark.parametrize("build", [kernel_matrix, kernel_dh_matrix])
+@pytest.mark.parametrize("build", [kernel_matrix, kernel_dh_matrix, cell_variance_matrix])
 def test_kernel_matrices_reject_non_uniform_times(build):
     spec = KernelSpec(H=0.3, eps=1e-4)
     for times in ([0.0, 0.1, 0.5, 0.6, 1.0], [0.0, 0.5, 0.25, 0.75], [1.0, 0.75, 0.5, 0.25, 0.0]):

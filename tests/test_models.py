@@ -5,6 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from brute_force import malliavin_ddv, malliavin_ddv_tensor, malliavin_dv, sigma_prime, sigma_second
+from volterra_greeks import models
+from volterra_greeks.greeks import OptionSpec, estimate
 from volterra_greeks.kernel import KernelSpec, kernel_eval, kernel_variance
 from volterra_greeks.models import (
     AlphaRFSV,
@@ -21,6 +23,7 @@ from volterra_greeks.models import (
     vol_path,
 )
 from volterra_greeks.paths import DriverIncrements, TimeGrid, gen_increments
+from volterra_greeks.weights import weight_components
 
 K14 = KernelSpec(H=0.14, eps=1e-6)
 K30 = KernelSpec(H=0.3, eps=1e-3)
@@ -66,8 +69,9 @@ def test_arfsv_single_step_factor_value():
     g = TimeGrid(T=1.0, n=1)
     dz = np.array([[0.5 / kernel_eval(K14, 1.0, 0.0)]])
     inc = DriverIncrements(dW=dz, dWt=dz, dZ=dz, rho=0.0)
-    v, aux = vol_path(m, g, inc)
-    assert aux["Y"][0, 1] == pytest.approx(0.5, rel=1e-14)
+    y, _ = models._convolve(models.kernel_matrix, K14, g, inc)  # the Y that AlphaRFSV.path turns into V
+    assert y[0, 1] == pytest.approx(0.5, rel=1e-14)
+    v, _ = vol_path(m, g, inc)
     r1 = kernel_variance(K14, 1.0)
     want = 0.62 * math.exp(0.21 * 0.5 - 0.5 * 0.21**2 * r1)
     assert v[0, 1] == pytest.approx(want, rel=1e-13)
@@ -102,8 +106,8 @@ def test_alphasv_closed_form():
     g = TimeGrid(T=2.0, n=16)
     inc = gen_increments(g, m.rho, seed=8, n_paths=2)
     v, aux = vol_path(m, g, inc)
+    assert aux == {}  # the weights read V alone
     z = np.concatenate([np.zeros((2, 1)), np.cumsum(inc.dZ, axis=-1)], axis=-1)
-    assert np.array_equal(aux["Y"], z)
     want = 0.04 * np.exp(0.3 * z - 0.5 * 0.09 * g.times)
     assert np.allclose(v, want, rtol=1e-14)
 
@@ -270,8 +274,13 @@ def test_dv_rss_rough_needs_eps():
                         kernel=KernelSpec(H=0.3, eps=0.0))
     g = TimeGrid(T=1.0, n=8)
     inc = _single(gen_increments(g, m.rho, seed=0))
-    with pytest.raises(ValueError):
-        make_bundle(m, MKT, g, inc)
+    b = make_bundle(m, MKT, g, inc)  # the path and the price need no D V
+    with pytest.raises(UnsupportedError, match="eps > 0"):
+        weight_components(m, g, b)
+    opt = OptionSpec(strike=100.0, maturity=1.0)
+    assert np.isfinite(estimate("price", m, MKT, opt, g, 300, seed=0).value)
+    with pytest.raises(UnsupportedError, match="eps > 0"):
+        estimate("delta", m, MKT, opt, g, 300, seed=0)
 
 
 def test_ddv_stein_stein_zero():
@@ -369,14 +378,14 @@ def test_dtheta_h_only_for_alpharfsv(model):
 @pytest.mark.parametrize("kernel", [K14, KBM], ids=["rough", "h_half_eps_zero"])
 def test_bundle_builds_each_kernel_matrix_once(monkeypatch, kernel):
     from volterra_greeks import kernel as kernel_mod
-    from volterra_greeks import models, paths
+    from volterra_greeks import paths
     from volterra_greeks.paths import volterra_dh_path, volterra_path
 
     grid = TimeGrid(T=1.0, n=8)
     model = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.5, kernel=kernel)
     inc = gen_increments(grid, model.rho, seed=13, n_paths=6)
     # the reference values, before any builder is counted
-    want_y = volterra_path(kernel, grid, inc).Y
+    want_v = models._exp_factor(model.v0, model.xi, model.alpha, kernel, grid, volterra_path(kernel, grid, inc).Y)
     want_dydh = volterra_dh_path(kernel, grid, inc)
     want_kh = grid.dt * kernel_mod.kernel_matrix(kernel, grid.times).sum(axis=1)
     want_khdh = grid.dt * kernel_mod.kernel_dh_matrix(kernel, grid.times).sum(axis=1)
@@ -399,7 +408,7 @@ def test_bundle_builds_each_kernel_matrix_once(monkeypatch, kernel):
     b = make_bundle(model, MKT, grid, inc)
     assert builds == {"kernel_matrix": 1, "kernel_dh_matrix": 0}
     # the path and the row integrals share one matrix and keep their values bit for bit
-    assert np.array_equal(b.aux["Y"], want_y)
+    assert np.array_equal(b.V, want_v)
     assert np.array_equal(b.aux["kappa_hat"], want_kh)
     dydh, kappa_hat_dh = models._convolve(models.kernel_dh_matrix, kernel, grid, inc)  # as dtheta(H) does
     assert builds == {"kernel_matrix": 1, "kernel_dh_matrix": 1}

@@ -83,10 +83,10 @@ def test_kernel_cache_builds_each_matrix_once_per_block(monkeypatch):
     inc = greeks.gen_increments(grid, model.rho, seed=1, n_paths=8)
     bumped = replace(model, kernel=KernelSpec(H=0.3))
     with kernel_cache():
-        first, second = model.path(grid, inc)[1], model.path(grid, inc)[1]
+        (v1, first), (v2, second) = model.path(grid, inc), model.path(grid, inc)
         bumped.path(grid, inc)
     assert builds == [model.kernel, bumped.kernel]
-    assert np.array_equal(first["Y"], second["Y"])
+    assert np.array_equal(v1, v2)
     assert first["kappa_hat"] is second["kappa_hat"] and not first["kappa_hat"].flags.writeable
     model.path(grid, inc)  # outside the block: built again, nothing kept
     assert builds == [model.kernel, bumped.kernel, model.kernel]
@@ -115,8 +115,8 @@ def test_worker_threads_build_each_matrix_once(monkeypatch):
 
 # peak memory, in units of one (paths x n) float64 array: the chunk's draw
 # (dW, dWt and dZ) is three of them, each tile adds an eighth of a chunk
-# per path array, and the untiled engine held about ten (estimate) and
-# five (FD) of them at once
+# per path array (3.88 and 3.38 measured), and the untiled engine held
+# about ten (estimate) and five (FD) of them at once
 _MEM_GRID = TimeGrid(T=1.0, n=1024)
 _MEM_MODEL = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.05, kernel=KernelSpec(H=0.14))
 _MEM_MKT, _MEM_OPT = MarketSpec(s0=100.0, r=0.05), OptionSpec(strike=100.0, maturity=1.0)
@@ -135,8 +135,8 @@ def _peak_arrays(run) -> float:
 @pytest.mark.parametrize(
     "run,limit",
     [
-        (lambda: estimate_many(["delta", "hsens"], _MEM_MODEL, _MEM_MKT, _MEM_OPT, _MEM_GRID, greeks._CHUNK, 3), 5.0),
-        (lambda: fd_greek("hsens", _MEM_MODEL, _MEM_MKT, _MEM_OPT, _MEM_GRID, greeks._CHUNK, 3), 4.25),
+        (lambda: estimate_many(["delta", "hsens"], _MEM_MODEL, _MEM_MKT, _MEM_OPT, _MEM_GRID, greeks._CHUNK, 3), 4.0),
+        (lambda: fd_greek("hsens", _MEM_MODEL, _MEM_MKT, _MEM_OPT, _MEM_GRID, greeks._CHUNK, 3), 3.5),
     ],
     ids=["estimate_many", "fd_greek"],
 )
