@@ -19,11 +19,12 @@ C the triple D_sG integral; gamma raises UnsupportedError on models
 that do not provide it.
 
 Layout of a run (_per_tile, which the FD oracle shares): the paths are
-drawn in chunks of 8192 (one gen_increments call each, the chunks
-optionally on worker threads), and each chunk's vol paths, prices and
-weights are computed in tiles of 1024 paths, one after another, so a
-chunk's peak memory is its draw plus one tile.  Each distinct kernel
-matrix is built once per call.
+drawn in chunks (one gen_increments call each, the chunks optionally on
+worker threads) of at most 8192 paths and max(one tile, 2^22
+path-steps): 8192 paths up to n = 512, one tile from n = 4096 up.  Each
+chunk's vol paths, prices and weights are computed in tiles of 1024
+paths, one after another, so a chunk's peak memory is its draw plus one
+tile.  Each distinct kernel matrix is built once per call.
 
 Determinism: path p is row p % 256 of the substream keyed by (seed,
 p // 256) (RNG stream 2), and chunks and tiles start on multiples of 256
@@ -31,7 +32,7 @@ paths, where the convolution groups its BLAS products (see
 paths.convolve_kernel), so every per-path sample depends on that path's
 draws alone.  Samples go into a path-indexed array and all reductions run
 over it in a fixed pairwise order, so estimates are bit-identical for a
-given (seed, config) under any worker count, chunk or tile size, and runs
+given (seed, config) under any worker count, draw or tile size, and runs
 with larger n_paths extend smaller ones (on fine grids up to the rounding
 of the smaller run's last group, when n_paths is not a multiple of 256).
 """
@@ -71,8 +72,9 @@ __all__ = [
 ]
 
 GREEK_KINDS = ("price", "delta", "gamma", "rho", "vega", "hsens")
-_CHUNK = 8192  # paths per draw (gen_increments call)
+_CHUNK = 8192  # most paths per draw (gen_increments call)
 _TILE = 1024  # paths per vol path, pricing and weight pass; four RNG blocks, divides _CHUNK
+_DRAW_STEPS = 1 << 22  # a draw holds at most this many path-steps, or one tile
 
 
 class NumericalFailureError(RuntimeError):
@@ -162,23 +164,26 @@ def _task_samples(kinds, model, market, opt, grid, inc: DriverIncrements):
     return out
 
 
-def _per_tile(n_paths: int, workers: int, draw, fn) -> dict:
+def _per_tile(n_paths: int, n_steps: int, workers: int, draw, fn) -> dict:
     """fn(tile) on each _TILE-path tile (the last may be shorter); fn's dicts of per-path arrays joined in path order.
 
     draw(n, start) gives the increments of paths start..start+n-1, once per
-    _CHUNK-path chunk, the chunks on `workers` threads.  The run is one
-    kernel_cache() block, so each distinct kernel matrix is built once;
-    worker threads see it through a copy of this thread's context.
+    chunk, the chunks on `workers` threads.  A chunk is the whole tiles
+    that fit in _DRAW_STEPS path-steps of the n_steps grid, at least one
+    and at most _CHUNK paths.  The run is one kernel_cache() block, so
+    each distinct kernel matrix is built once; worker threads see it
+    through a copy of this thread's context.
     """
+    size = min(_CHUNK, max(_TILE, (_DRAW_STEPS // n_steps) // _TILE * _TILE))  # paths per draw
 
     def chunk(start):
-        inc = draw(min(_CHUNK, n_paths - start), start)
+        inc = draw(min(size, n_paths - start), start)
         return [
             fn(DriverIncrements(dW=inc.dW[rows], dWt=inc.dWt[rows], dZ=inc.dZ[rows], rho=inc.rho))
             for rows in (slice(lo, lo + _TILE) for lo in range(0, inc.dZ.shape[0], _TILE))
         ]
 
-    starts = range(0, n_paths, _CHUNK)
+    starts = range(0, n_paths, size)
     with kernel_cache():
         if workers > 1 and len(starts) > 1:
             contexts = [copy_context() for _ in starts]
@@ -193,7 +198,7 @@ def _per_tile(n_paths: int, workers: int, draw, fn) -> dict:
 def _all_task_samples(kinds, model, market, opt, grid, n_paths, seed, workers):
     """Each kind's (samples, valid mask) over the run; price keeps every path."""
     draw = partial(gen_increments, grid, model.rho, seed)  # draw(n, start)
-    samples = _per_tile(n_paths, workers, draw, partial(_task_samples, kinds, model, market, opt, grid))
+    samples = _per_tile(n_paths, grid.n, workers, draw, partial(_task_samples, kinds, model, market, opt, grid))
     every = np.ones(n_paths, dtype=bool)
     return {k: (samples[k], every if k == "price" else samples["valid"]) for k in kinds}
 

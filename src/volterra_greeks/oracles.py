@@ -11,9 +11,9 @@ Two oracles, both free of any Malliavin machinery:
     bump-and-reprice Greek.  An H bump rebuilds the kernel against the
     unchanged driver increments.  Several kinds share one pass, which
     prices each distinct bumped setup once.  The pass runs on the
-    estimators' tile driver (greeks._per_tile): one draw per 8192-path
-    chunk, prices per 1024-path tile, each kernel matrix built once per
-    call.
+    estimators' tile driver (greeks._per_tile): one draw per chunk of at
+    most 8192 paths and 2^22 path-steps (or one tile), prices per
+    1024-path tile, each kernel matrix built once per call.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ def fd_greek(
             del v  # one vol path alive at a time
         return out
 
-    px = _per_tile(n_paths, workers, partial(gen_increments, grid, model.rho, seed), prices)
+    px = _per_tile(n_paths, grid.n, workers, partial(gen_increments, grid, model.rho, seed), prices)
     xs = [quotient(*(px[p] for p in pairs)) for pairs, quotient in plans]
     ests = [_reduce(kind, x, np.ones(x.shape, dtype=bool), confidence) for kind, x in zip(kinds, xs)]
     return ests[0] if single else ests

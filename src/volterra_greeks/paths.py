@@ -8,6 +8,9 @@ and larger runs extend smaller ones.  dZ = rho dW + sqrt(1 - rho^2) dWt.
 A call drawing at least 2^20 path-steps fills its blocks on one thread
 per available CPU; each block is drawn, scaled and mixed by one task
 into its own rows, so the values do not depend on the thread count.
+The estimators draw at most 8192 paths and max(1024 paths, 2^22
+path-steps) per call (greeks._per_tile), so a full draw is threaded on
+every grid with n >= 128 and holds about 100 MB up to n = 4096.
 
 The Volterra path uses the left-point rule
 

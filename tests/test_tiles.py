@@ -1,8 +1,9 @@
 """Tiled chunks: each chunk is drawn once and simulated in row tiles.
 
-Estimates must not depend on the tile size, and a chunk's peak memory
-must stay near its draw plus one tile instead of growing with every
-per-path array of the chunk.
+Estimates must not depend on the tile size or on the draw size, a draw
+must hold at most 2^22 path-steps (or one tile), and a chunk's peak
+memory must stay near its draw plus one tile instead of growing with
+every per-path array of the chunk.
 """
 
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from test_golden import GOLDEN, MARKET, MODELS, OPTION
 
-from volterra_greeks import greeks, models, oracles
+from volterra_greeks import greeks, models, oracles, paths
 from volterra_greeks.greeks import OptionSpec, estimate_many
 from volterra_greeks.kernel import KernelSpec, kernel_matrix
 from volterra_greeks.models import AlphaRFSV, MarketSpec, kernel_cache
@@ -70,6 +71,48 @@ def test_fd_sequences_do_not_depend_on_tile_size(monkeypatch, name, n):
     assert results[0] == results[1] == results[2]
 
 
+def _draws(monkeypatch, *modules):
+    """Record (n_paths, start) of each gen_increments call made through the modules."""
+    calls = []
+
+    def counted(grid, rho, seed, n_paths=1, start=0):
+        calls.append((n_paths, start))
+        return paths.gen_increments(grid, rho, seed, n_paths, start)
+
+    for module in modules:
+        monkeypatch.setattr(module, "gen_increments", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n,size", [(64, 8192), (256, 8192), (1100, 3072), (2048, 2048)])
+def test_draws_hold_at_most_2_22_path_steps(monkeypatch, n, size):
+    # the constant-vol model keeps the n = 2048 runs cheap; a full draw and 300 more paths
+    grid, model = TimeGrid(T=1.0, n=n), MODELS["black_scholes"]
+    calls = _draws(monkeypatch, greeks)
+    estimate_many(["delta"], model, MARKET, OPTION, grid, size + 300, seed=7)
+    assert calls == [(size, 0), (300, size)]
+    calls = _draws(monkeypatch, oracles)
+    fd_greek("delta", model, MARKET, OPTION, grid, size + 300, seed=7)
+    assert calls == [(size, 0), (300, size)]
+    assert size % paths._BLOCK == 0
+
+
+def test_draw_cap_does_not_change_estimates(monkeypatch):
+    grid, model, n_paths = TimeGrid(T=1.0, n=1100), MODELS["alpharfsv"], 3072 + 300
+    kinds = ["delta", "hsens"]
+    runs, draws = [], []
+    for steps in (greeks._DRAW_STEPS, greeks._CHUNK * grid.n):  # capped, then one draw of up to _CHUNK paths
+        monkeypatch.setattr(greeks, "_DRAW_STEPS", steps)
+        calls = _draws(monkeypatch, greeks, oracles)
+        runs.append((
+            estimate_many(kinds, model, MARKET, OPTION, grid, n_paths, seed=11),
+            fd_greek(kinds, model, MARKET, OPTION, grid, n_paths, seed=11),
+        ))
+        draws.append(len(calls))
+    assert draws == [4, 2]
+    assert runs[0] == runs[1]
+
+
 def test_kernel_cache_builds_each_matrix_once_per_block(monkeypatch):
     builds = []
 
@@ -113,10 +156,11 @@ def test_worker_threads_build_each_matrix_once(monkeypatch):
     assert threaded == estimate_many(["delta", "hsens"], model, MARKET, OPTION, grid, 16 * 256, seed=41)
 
 
-# peak memory, in units of one (paths x n) float64 array: the chunk's draw
-# (dW, dWt and dZ) is three of them, each tile adds an eighth of a chunk
-# per path array (3.88 and 3.38 measured), and the untiled engine held
-# about ten (estimate) and five (FD) of them at once
+# peak memory, in units of one (_CHUNK x n) float64 array: at n = 1024 a
+# draw is 4096 paths (2^22 path-steps), so the draw (dW, dWt and dZ) is
+# one and a half of them, and each tile adds an eighth per path array
+# (2.381 and 1.879 measured); whole-_CHUNK draws peaked at 3.88 and 3.38,
+# and the untiled engine held about ten (estimate) and five (FD) at once
 _MEM_GRID = TimeGrid(T=1.0, n=1024)
 _MEM_MODEL = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.05, kernel=KernelSpec(H=0.14))
 _MEM_MKT, _MEM_OPT = MarketSpec(s0=100.0, r=0.05), OptionSpec(strike=100.0, maturity=1.0)
@@ -135,8 +179,8 @@ def _peak_arrays(run) -> float:
 @pytest.mark.parametrize(
     "run,limit",
     [
-        (lambda: estimate_many(["delta", "hsens"], _MEM_MODEL, _MEM_MKT, _MEM_OPT, _MEM_GRID, greeks._CHUNK, 3), 4.0),
-        (lambda: fd_greek("hsens", _MEM_MODEL, _MEM_MKT, _MEM_OPT, _MEM_GRID, greeks._CHUNK, 3), 3.5),
+        (lambda: estimate_many(["delta", "hsens"], _MEM_MODEL, _MEM_MKT, _MEM_OPT, _MEM_GRID, greeks._CHUNK, 3), 2.45),
+        (lambda: fd_greek("hsens", _MEM_MODEL, _MEM_MKT, _MEM_OPT, _MEM_GRID, greeks._CHUNK, 3), 1.95),
     ],
     ids=["estimate_many", "fd_greek"],
 )
