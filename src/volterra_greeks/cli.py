@@ -1,14 +1,15 @@
 """Command-line surface: volterra-greeks <price|greek|converge>.
 
 Configuration is flat INI (key = value in named sections): [model] kind
-plus the model's dataclass fields (a kernel field reads h, or hp for the
-second kernel of the mixed model), [market] s0/r, [option] k/t/payoff,
-[numerics] n_steps/n_paths/seed/confidence/epsilon/workers, [task]
-kinds/oracles/ns_schedule; any other key is a config error, and so is a
-[task] key the command does not use (_TASK_KEYS).  [task] variant is
-read only so that older files load: `derived` changes nothing, any other
-value is a config error.  Values are read as written (no % interpolation);
-a number must be finite.
+plus the fields of the model class, [market] and [option] the fields of
+MarketSpec and OptionSpec (k/t for strike/maturity, h for a kernel's H,
+hp for the mixed model's second kernel; a field default makes its key
+optional), [numerics] the keys of _NUMERICS (epsilon only for a model
+with a kernel), [task] kinds (no kind twice)/oracles/ns_schedule; any
+other key is a config error, and so is a [task] key the command does not
+use (_TASK_KEYS).  [task] variant is read only so that older files load:
+`derived` changes nothing, any other value is a config error.  Values are
+read as written (no % interpolation); a number must be finite.
 Output is CSV only, UTF-8, first line `# volterra-greeks v2 schema; rng
 stream 2` (paths.RNG_STREAM); plotting is left to external tools.
 
@@ -27,7 +28,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import List, Optional, Sequence
 
 from .greeks import (
@@ -72,7 +73,18 @@ _MODELS = {
     "stein_stein": SteinStein,
     "black_scholes": BlackScholes,
 }
-_KERNEL_KEYS = {"kernel": "h", "kernel_h": "h", "kernel_hp": "hp"}  # KernelSpec field -> INI key of its H
+# INI key of a spec field not named by its key; a KernelSpec field's key holds its H
+_KEYS = {"strike": "k", "maturity": "t", "kernel": "h", "kernel_h": "h", "kernel_hp": "hp"}
+# [numerics] key -> (type, default or MISSING if required, rule the value must meet, the rule in words);
+# --seed and VOLTERRA_GREEKS_WORKERS are held to the rules of seed and workers
+_NUMERICS = {
+    "n_steps": (int, MISSING, lambda v: v >= 1, "must be >= 1"),
+    "n_paths": (int, MISSING, lambda v: v >= 2, "must be >= 2"),
+    "seed": (int, MISSING, lambda v: v >= 0, "must be >= 0"),
+    "confidence": (float, 0.99, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "workers": (int, 1, lambda v: v >= 1, "must be >= 1"),
+    "epsilon": (float, 1e-6, lambda v: v >= 0.0, "must be >= 0"),  # read by the model's kernel fields only
+}
 
 
 class ConfigError(Exception):
@@ -95,17 +107,6 @@ class RunConfig:
     ns_schedule: Sequence[int] = ()
 
 
-_MISSING = object()
-
-
-class _Ini(configparser.ConfigParser):
-    """INI parser that records every section.key the loader reads; values are read as written."""
-
-    def __init__(self):
-        super().__init__(inline_comment_prefixes=("#", ";"), interpolation=None)
-        self.seen = set()
-
-
 def _ini_error(e: configparser.Error) -> ConfigError:
     """A malformed file, named by section.key where the parser knows it, else by line."""
     if isinstance(e, configparser.DuplicateOptionError):
@@ -118,30 +119,24 @@ def _ini_error(e: configparser.Error) -> ConfigError:
     return ConfigError(f"line {lineno}: expected key = value, got {line}")
 
 
-def _raw(cp, section, key, default=_MISSING):
-    """The key's text; a key with a default may be missing, and so may its section."""
-    cp.seen.add((section, key))
-    if cp.has_option(section, key):
-        return cp.get(section, key)
-    if default is not _MISSING:
-        return default
-    if not cp.has_section(section):
-        raise ConfigError(f"{section}: missing required section")
-    raise ConfigError(f"{section}.{key}: missing required key")
-
-
-def _number(cp, section, key, default=_MISSING, cast=float):
-    """The key's value converted by cast (float, or int for counts)."""
-    raw = _raw(cp, section, key, default)
-    if not isinstance(raw, str):
-        return raw
+def _convert(name: str, raw, cast):
+    """raw (text, or a default) as cast: float, or int for counts; errors are named name."""
     try:
         value = cast(raw)
     except ValueError:
         what = "an integer" if cast is int else "a number"
-        raise ConfigError(f"{section}.{key}: expected {what}, got {raw!r}") from None
+        raise ConfigError(f"{name}: expected {what}, got {raw!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{section}.{key}: expected a finite number, got {raw!r}")
+        raise ConfigError(f"{name}: expected a finite number, got {raw!r}")
+    return value
+
+
+def _checked(name: str, key: str, raw):
+    """raw as the type of [numerics] key, held to its rule; errors are named name."""
+    cast, _, ok, rule = _NUMERICS[key]
+    value = _convert(name, raw, cast)
+    if not ok(value):
+        raise ConfigError(f"{name}: {rule}, got {value}")
     return value
 
 
@@ -149,100 +144,93 @@ def _list(raw: str) -> List[str]:
     return [tok.strip() for tok in raw.split(",") if tok.strip()]
 
 
-def _load_model(cp, eps: float) -> ModelSpec:
-    tag = _raw(cp, "model", "kind").strip().lower()
-    if tag not in _MODELS:
-        raise ConfigError(f"model.kind: expected one of {', '.join(_MODELS)}; got {tag!r}")
-    cls = _MODELS[tag]
-    try:
-        kwargs = {
-            f.name: KernelSpec(H=_number(cp, "model", _KERNEL_KEYS[f.name]), eps=eps)
-            if f.name in _KERNEL_KEYS
-            else _number(cp, "model", f.name)
-            for f in fields(cls)
-        }
-        return cls(**kwargs)
-    except ValueError as e:
-        raise ConfigError(f"model: {e}") from None
+class _Reader:
+    """An INI file and the section.key pairs read from it; any other key is unknown."""
+
+    def __init__(self, path: str):
+        self.cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+        self.seen = set()
+        try:
+            if not self.cp.read(path, encoding="utf-8"):
+                raise ConfigError(f"config file not found or unreadable: {path}")
+        except configparser.Error as e:
+            raise _ini_error(e) from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file is not UTF-8 text: {path}") from None
+        for key in self.cp.defaults():  # configparser would copy these into every section
+            raise ConfigError(f"{self.cp.default_section}.{key}: unknown key "
+                              f"(no [{self.cp.default_section}] key is read)")
+
+    def raw(self, section: str, key: str, default=MISSING):
+        """The key's text; a key with a default may be missing, and so may its section."""
+        self.seen.add((section, key))
+        if self.cp.has_option(section, key):
+            return self.cp.get(section, key)
+        if default is not MISSING:
+            return default
+        if not self.cp.has_section(section):
+            raise ConfigError(f"{section}: missing required section")
+        raise ConfigError(f"{section}.{key}: missing required key")
+
+    def numerics(self, key: str):
+        return _checked(f"numerics.{key}", key, self.raw("numerics", key, _NUMERICS[key][1]))
+
+    def spec(self, section: str, cls):
+        """cls from the keys of its dataclass fields (renamed by _KEYS); a field default makes its key optional."""
+        try:
+            kwargs = {}
+            for f in fields(cls):
+                key = _KEYS.get(f.name, f.name)
+                raw = self.raw(section, key, f.default)
+                value = raw.strip().lower() if f.type == "str" else _convert(f"{section}.{key}", raw, float)
+                kwargs[f.name] = KernelSpec(H=value, eps=self.numerics("epsilon")) if f.type == "KernelSpec" else value
+            return cls(**kwargs)
+        except ValueError as e:
+            raise ConfigError(f"{section}: {e}") from None
 
 
 def load_config(path: str) -> RunConfig:
-    cp = _Ini()
-    try:
-        if not cp.read(path, encoding="utf-8"):
-            raise ConfigError(f"config file not found or unreadable: {path}")
-    except configparser.Error as e:
-        raise _ini_error(e) from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"config file is not UTF-8 text: {path}") from None
-    for key in cp.defaults():  # configparser would copy these into every section
-        raise ConfigError(f"{cp.default_section}.{key}: unknown key (no [{cp.default_section}] key is read)")
+    r = _Reader(path)
+    tag = r.raw("model", "kind").strip().lower()
+    if tag not in _MODELS:
+        raise ConfigError(f"model.kind: expected one of {', '.join(_MODELS)}; got {tag!r}")
+    model = r.spec("model", _MODELS[tag])
+    market = r.spec("market", MarketSpec)
+    option = r.spec("option", OptionSpec)
+    numerics = {key: r.numerics(key) for key in _NUMERICS if key != "epsilon"}
+    grid = TimeGrid(T=option.maturity, n=numerics.pop("n_steps"))
 
-    eps = _number(cp, "numerics", "epsilon", 1e-6)
-    if eps < 0.0:
-        raise ConfigError(f"numerics.epsilon: must be >= 0, got {eps}")
-    model = _load_model(cp, eps)
-    try:
-        market = MarketSpec(s0=_number(cp, "market", "s0"), r=_number(cp, "market", "r", 0.0))
-    except ValueError as e:
-        raise ConfigError(f"market: {e}") from None
-    try:
-        option = OptionSpec(
-            strike=_number(cp, "option", "k"),
-            maturity=_number(cp, "option", "t"),
-            payoff=_raw(cp, "option", "payoff", "call").strip().lower(),
-        )
-    except ValueError as e:
-        raise ConfigError(f"option: {e}") from None
-
-    n_steps = _number(cp, "numerics", "n_steps", cast=int)
-    if n_steps < 1:
-        raise ConfigError(f"numerics.n_steps: must be >= 1, got {n_steps}")
-    grid = TimeGrid(T=option.maturity, n=n_steps)
-    n_paths = _number(cp, "numerics", "n_paths", cast=int)
-    if n_paths < 2:
-        raise ConfigError(f"numerics.n_paths: must be >= 2, got {n_paths}")
-    seed = _number(cp, "numerics", "seed", cast=int)
-    if seed < 0:
-        raise ConfigError(f"numerics.seed: must be >= 0, got {seed}")
-    confidence = _number(cp, "numerics", "confidence", 0.99)
-    if not 0.0 < confidence < 1.0:
-        raise ConfigError(f"numerics.confidence: must lie in (0, 1), got {confidence}")
-    workers = _number(cp, "numerics", "workers", 1, int)
-    if workers < 1:
-        raise ConfigError(f"numerics.workers: must be >= 1, got {workers}")
-
-    kinds = tuple(k.lower() for k in _list(_raw(cp, "task", "kinds", "")))
-    for k in kinds:
+    kinds = tuple(k.lower() for k in _list(r.raw("task", "kinds", "")))
+    for i, k in enumerate(kinds):
         if k not in GREEK_KINDS:
             raise ConfigError(f"task.kinds: unknown kind {k!r}")
-    variant = _raw(cp, "task", "variant", None)
+        if k in kinds[:i]:
+            raise ConfigError(f"task.kinds: duplicate kind {k!r}")
+    variant = r.raw("task", "variant", None)
     if variant is not None:
         variant = variant.strip().lower()
         if variant != "derived":
             raise ConfigError(f"task.variant: the literal gamma and rho weights were removed; "
                               f"only 'derived' is accepted, got {variant!r}")
-    oracles = tuple(o.lower() for o in _list(_raw(cp, "task", "oracles", "")))
+    oracles = tuple(o.lower() for o in _list(r.raw("task", "oracles", "")))
     for o in oracles:
         if o not in ("fd", "bs"):
             raise ConfigError(f"task.oracles: expected fd or bs, got {o!r}")
-    ns_raw = _list(_raw(cp, "task", "ns_schedule", ""))
+    ns_raw = _list(r.raw("task", "ns_schedule", ""))
     try:
         ns_schedule = tuple(int(x) for x in ns_raw)
     except ValueError:
         raise ConfigError(f"task.ns_schedule: expected integers, got {ns_raw}") from None
     if ns_schedule and (ns_schedule[0] < 2 or any(b <= a for a, b in zip(ns_schedule, ns_schedule[1:]))):
         raise ConfigError(f"task.ns_schedule: must be strictly increasing with entries >= 2, got {list(ns_schedule)}")
-    for section in cp.sections():
-        for key in cp.options(section):
-            if (section, key) not in cp.seen:
+    for section in r.cp.sections():
+        for key in r.cp.options(section):
+            if (section, key) not in r.seen:
                 raise ConfigError(f"{section}.{key}: unknown key")
 
     return RunConfig(
-        model=model, market=market, option=option, grid=grid,
-        n_paths=n_paths, seed=seed, confidence=confidence,
-        workers=workers, kinds=kinds, variant=variant, oracles=oracles,
-        ns_schedule=ns_schedule,
+        model=model, market=market, option=option, grid=grid, **numerics,
+        kinds=kinds, variant=variant, oracles=oracles, ns_schedule=ns_schedule,
     )
 
 
@@ -371,17 +359,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
-            cfg.seed = args.seed
-        env_workers = os.environ.get(WORKERS_ENV)
-        if env_workers is not None:
-            try:
-                cfg.workers = int(env_workers)
-            except ValueError:
-                raise ConfigError(f"{WORKERS_ENV}: expected an integer, got {env_workers!r}") from None
-            if cfg.workers < 1:
-                raise ConfigError(f"{WORKERS_ENV}: must be >= 1, got {cfg.workers}")
+            cfg.seed = _checked("--seed", "seed", args.seed)
+        if WORKERS_ENV in os.environ:
+            cfg.workers = _checked(WORKERS_ENV, "workers", os.environ[WORKERS_ENV])
         if args.out:
             _check_out(args.out)
         _check_task_keys(args.command, cfg)

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volterra_greeks.cli import ConfigError, load_config, main
-from volterra_greeks.models import AlphaRFSV, SteinStein
+from volterra_greeks.cli import _MODELS, ConfigError, load_config, main
+from volterra_greeks.kernel import KernelSpec
+from volterra_greeks.models import AlphaRFSV, AlphaSV, BlackScholes, MixedAlphaRFSV, RoughSteinStein, SteinStein
 from volterra_greeks.oracles import bs_price_greeks
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,6 +89,7 @@ def test_load_config_round_trip(tmp_path):
         (lambda s: s.replace("k = 100", "k = -100"), "option"),
         (lambda s: s.replace("seed = 7", "seed = 7\nconfidence = 1.7"), "numerics.confidence"),
         (lambda s: s.replace("kinds = delta", "kinds = delta, skew"), "task.kinds"),
+        (lambda s: s.replace("kinds = delta", "kinds = delta, delta"), "task.kinds: duplicate kind 'delta'"),
         (lambda s: s.replace("oracles = fd, bs", "oracles = mc"), "task.oracles"),
         (lambda s: s + "variant = wild\n", "task.variant"),
         pytest.param(lambda s: s + "variant = literal\n", "task.variant", id="variant-literal-task.variant"),
@@ -163,6 +165,63 @@ def test_unknown_key_exit_2(tmp_path, capsys):
                          ids=lambda p: f"{p.parent.parent.name}/{p.parent.name}/{p.name}")
 def test_shipped_configs_load(path):
     load_config(str(path))
+
+
+# each model tag: its [model] keys and the instance they describe, given the file's epsilon
+MODEL_FILES = {
+    "alpharfsv": ("v0 = 0.62\nxi = 0.21\nalpha = 1.0\nrho = -0.05\nh = 0.14\n",
+                  lambda eps: AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.05, kernel=KernelSpec(H=0.14, eps=eps))),
+    "mixed": ("v0 = 0.2\nxi_h = 0.3\nxi_hp = 0.1\nalpha = 0.5\nrho = -0.4\nh = 0.1\nhp = 0.7\n",
+              lambda eps: MixedAlphaRFSV(v0=0.2, xi_h=0.3, xi_hp=0.1, alpha=0.5, rho=-0.4,
+                                         kernel_h=KernelSpec(H=0.1, eps=eps), kernel_hp=KernelSpec(H=0.7, eps=eps))),
+    "rough_stein_stein": ("v0 = 0.2\nkappa = 1.0\ntheta = 0.25\nnu = 0.3\nrho = -0.6\nh = 0.3\n",
+                          lambda eps: RoughSteinStein(v0=0.2, kappa=1.0, theta=0.25, nu=0.3, rho=-0.6,
+                                                      kernel=KernelSpec(H=0.3, eps=eps))),
+    "alphasv": ("v0 = 0.04\nxi = 0.5\nalpha = 1.0\nrho = -0.3\n",
+                lambda eps: AlphaSV(v0=0.04, xi=0.5, alpha=1.0, rho=-0.3)),
+    "stein_stein": ("v0 = 0.2\nkappa = 1.5\ntheta = 0.2\nnu = 0.3\nrho = -0.3\n",
+                    lambda eps: SteinStein(v0=0.2, kappa=1.5, theta=0.2, nu=0.3, rho=-0.3)),
+    "black_scholes": ("sigma = 0.2\n", lambda eps: BlackScholes(sigma=0.2)),
+}
+KERNEL_TAGS = ("alpharfsv", "mixed", "rough_stein_stein")
+
+
+def _model_cfg(tag, epsilon=None):
+    """BS_CFG with the [model] keys of tag, no [task] section and, if given, numerics.epsilon."""
+    text = f"[model]\nkind = {tag}\n{MODEL_FILES[tag][0]}\n[market]" + BS_CFG.split("[market]")[1].split("[task]")[0]
+    return text if epsilon is None else text.replace("seed = 7\n", f"seed = 7\nepsilon = {epsilon}\n")
+
+
+@pytest.mark.parametrize("tag", list(_MODELS))
+def test_every_model_kind_loads_its_fields(tmp_path, tag):
+    # the mixed model's second kernel reads hp; both of its kernels carry the file's epsilon
+    epsilon = 0.002 if tag in KERNEL_TAGS else None
+    cfg = load_config(_write(tmp_path, _model_cfg(tag, epsilon)))
+    assert cfg.model == MODEL_FILES[tag][1](epsilon)
+
+
+@pytest.mark.parametrize("tag", list(_MODELS))
+def test_epsilon_is_read_only_by_a_model_with_a_kernel(tmp_path, capsys, tag):
+    # without a kernel nothing reads numerics.epsilon, so setting it is an unknown key, not a silent no-op
+    path = _write(tmp_path, _model_cfg(tag, 0.7))
+    if tag in KERNEL_TAGS:
+        assert main(["price", "--config", path]) == 0
+        assert capsys.readouterr().out.startswith("# volterra-greeks v2 schema")
+    else:
+        assert main(["price", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: numerics.epsilon: unknown key")
+
+
+def test_optional_keys_load_their_defaults(tmp_path):
+    # r, payoff, confidence, workers and epsilon all left out
+    text = BS_CFG.replace("r = 0.0\n", "").replace("payoff = call\n", "")
+    assert all(f"\n{key} =" not in text for key in ("r", "payoff", "confidence", "workers", "epsilon"))
+    cfg = load_config(_write(tmp_path, text))
+    assert cfg.market.r == 0.0 and cfg.option.payoff == "call"
+    assert cfg.confidence == 0.99 and cfg.workers == 1
+    assert cfg.model.kernel == KernelSpec(H=0.14, eps=1e-6)
 
 
 @pytest.mark.parametrize(
