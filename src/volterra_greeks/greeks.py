@@ -24,17 +24,20 @@ worker threads) of at most 8192 paths and max(one tile, 2^22
 path-steps): 8192 paths up to n = 512, one tile from n = 4096 up.  Each
 chunk's vol paths, prices and weights are computed in tiles of 1024
 paths, one after another, so a chunk's peak memory is its draw plus one
-tile.  Each distinct kernel matrix is built once per call.
+tile.  Each distinct kernel's weights (its dense matrix, or from n = 1536
+its spectrum) are made once per call, and on the FFT grids each tile's
+dZ is transformed once for every kernel applied to it.
 
 Determinism: path p is row p % 256 of the substream keyed by (seed,
 p // 256) (RNG stream 2), and chunks and tiles start on multiples of 256
 paths, where the convolution groups its BLAS products (see
-paths.convolve_kernel), so every per-path sample depends on that path's
-draws alone.  Samples go into a path-indexed array and all reductions run
-over it in a fixed pairwise order, so estimates are bit-identical for a
-given (seed, config) under any worker count, draw or tile size, and runs
-with larger n_paths extend smaller ones (on fine grids up to the rounding
-of the smaller run's last group, when n_paths is not a multiple of 256).
+paths.convolve_kernel; the FFT convolution transforms each row on its
+own), so every per-path sample depends on that path's draws alone.
+Samples go into a path-indexed array and all reductions run over it in a
+fixed pairwise order, so estimates are bit-identical for a given (seed,
+config) under any worker count, draw or tile size, and runs with larger
+n_paths extend smaller ones (for 256 <= n < 1536 up to the rounding of
+the smaller run's last group, when n_paths is not a multiple of 256).
 """
 
 from __future__ import annotations
@@ -171,7 +174,7 @@ def _per_tile(n_paths: int, n_steps: int, workers: int, draw, fn) -> dict:
     chunk, the chunks on `workers` threads.  A chunk is the whole tiles
     that fit in _DRAW_STEPS path-steps of the n_steps grid, at least one
     and at most _CHUNK paths.  The run is one kernel_cache() block, so
-    each distinct kernel matrix is built once; worker threads see it
+    each distinct kernel's weights are made once; worker threads see them
     through a copy of this thread's context.
     """
     size = min(_CHUNK, max(_TILE, (_DRAW_STEPS // n_steps) // _TILE * _TILE))  # paths per draw

@@ -18,11 +18,13 @@ At H = 1/2, eps = 0 the kernel collapses to the constant 1 and
 kappa(t) = r(t) = t; those reductions are exact in floating point.
 
 On a uniform grid K(t_i, t_j) depends on the lag i - j only, so the
-kernel matrices are Toeplitz: kernel_matrix, kernel_dh_matrix and
-cell_variance_matrix evaluate their weight once per lag l = 1..n, at
-x = t_l - t_0 (+ eps), and gather the strictly lower-triangular matrix
-from that vector.  They reject a grid that is not uniformly spaced, on
-which the lag structure does not hold.
+kernel matrices are Toeplitz: kernel_by_lag, kernel_dh_by_lag and
+cell_variance_by_lag evaluate a weight once per lag l = 1..n, at
+x = t_l - t_0 (+ eps), and kernel_matrix, kernel_dh_matrix and
+cell_variance_matrix gather the strictly lower-triangular matrix from
+that vector.  toeplitz_row_sums gives that matrix's row sums bit for bit
+without building it.  All of them reject a grid that is not uniformly
+spaced, on which the lag structure does not hold.
 """
 
 from __future__ import annotations
@@ -133,11 +135,41 @@ def _lags(times: np.ndarray) -> np.ndarray:
     return lags
 
 
-def _toeplitz_lower(by_lag: np.ndarray) -> np.ndarray:
-    """(n+1) x n matrix M[i, j] = by_lag[i - j - 1] for j < i, zero elsewhere."""
+def _toeplitz_rows(by_lag: np.ndarray):
+    """Read-only view of the (n+1) x n matrix M[i, j] = by_lag[i - j - 1] for j < i, zero elsewhere."""
     n = len(by_lag)
     padded = np.concatenate([by_lag[::-1], np.zeros(n)])  # row i is padded[n-i : 2n-i]
-    return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(padded, n)[::-1])
+    return np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
+
+
+def toeplitz_row_sums(by_lag: np.ndarray) -> np.ndarray:
+    """Row sums of the lower-triangular Toeplitz matrix of by_lag, 256 rows at a time.
+
+    Each block is made contiguous before it is summed, so every row is
+    reduced exactly as in the whole matrix: the result equals
+    kernel_matrix(...).sum(axis=1) (and the other builders') bit for bit,
+    while only 256 rows exist at once.
+    """
+    m = _toeplitz_rows(by_lag)
+    return np.concatenate([np.ascontiguousarray(m[lo : lo + 256]).sum(axis=1) for lo in range(0, len(m), 256)])
+
+
+def kernel_by_lag(spec: KernelSpec, times: np.ndarray) -> np.ndarray:
+    """K at the lags x_l = t_l - t_0, l = 1..n: entry l - 1 fills diagonal i - j = l of kernel_matrix."""
+    return kernel_eval(spec, _lags(times), 0.0)
+
+
+def kernel_dh_by_lag(spec: KernelSpec, times: np.ndarray) -> np.ndarray:
+    """dK/dH at the lags x_l, l = 1..n, as kernel_by_lag."""
+    return kernel_dh(spec, _lags(times), 0.0)
+
+
+def cell_variance_by_lag(spec: KernelSpec, times: np.ndarray) -> np.ndarray:
+    """The variance-exact weights of cell_variance_matrix at the lags l = 1..n."""
+    hi = _lags(times)  # x_l, the far end of the cell at lag l; hi[0] is dt
+    lo = np.concatenate([[0.0], hi[:-1]])
+    h2 = 2.0 * spec.H
+    return np.sqrt(((hi + spec.eps) ** h2 - (lo + spec.eps) ** h2) / hi[0])
 
 
 def kernel_matrix(spec: KernelSpec, times: np.ndarray) -> np.ndarray:
@@ -149,12 +181,12 @@ def kernel_matrix(spec: KernelSpec, times: np.ndarray) -> np.ndarray:
     once per lag (see the module docstring), so times must be uniformly
     spaced; ValueError otherwise.
     """
-    return _toeplitz_lower(kernel_eval(spec, _lags(times), 0.0))
+    return np.ascontiguousarray(_toeplitz_rows(kernel_by_lag(spec, times)))
 
 
 def kernel_dh_matrix(spec: KernelSpec, times: np.ndarray) -> np.ndarray:
     """Strictly lower-triangular matrix of dK/dH values on the uniform grid."""
-    return _toeplitz_lower(kernel_dh(spec, _lags(times), 0.0))
+    return np.ascontiguousarray(_toeplitz_rows(kernel_dh_by_lag(spec, times)))
 
 
 def cell_variance_matrix(spec: KernelSpec, times: np.ndarray) -> np.ndarray:
@@ -165,7 +197,4 @@ def cell_variance_matrix(spec: KernelSpec, times: np.ndarray) -> np.ndarray:
     Cell j of row i spans the lags x_{i-j-1} .. x_{i-j}, so the weight is
     taken once per lag; times must be uniformly spaced, ValueError otherwise.
     """
-    hi = _lags(times)  # x_l, the far end of the cell at lag l; hi[0] is dt
-    lo = np.concatenate([[0.0], hi[:-1]])
-    h2 = 2.0 * spec.H
-    return _toeplitz_lower(np.sqrt(((hi + spec.eps) ** h2 - (lo + spec.eps) ** h2) / hi[0]))
+    return np.ascontiguousarray(_toeplitz_rows(cell_variance_by_lag(spec, times)))

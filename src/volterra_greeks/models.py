@@ -23,9 +23,9 @@ Each class supplies everything the estimator needs to know about it, so
 no other module branches on the model type:
 
 * path(grid, inc)            V and the per-tile arrays the members below
-                             read (the kernel row integrals kappa_hat, taken
-                             from the kernel matrix the path was convolved
-                             with, and the mixed model's two factors);
+                             read (the kernel row integrals kappa_hat of
+                             the kernel the path was convolved with, and
+                             the mixed model's two factors);
 * sigma_of(v)                the vol-of-spot map;
 * profiles(grid, bundle)     sigma(V), g1 = sigma'(V) IDV and
                              g2 = sigma''(V) IDV^2 + sigma'(V) IDDV on cells
@@ -56,15 +56,18 @@ import numpy as np
 
 from .kernel import (
     KernelSpec,
+    kernel_by_lag,
+    kernel_dh_by_lag,
     kernel_dh_matrix,
     kernel_eval,
     kernel_kappa,
     kernel_matrix,
     kernel_variance,
     kernel_variance_dh,
+    toeplitz_row_sums,
 )
 from . import paths
-# volterra_dh_path is not called here (_convolve shares its matrix), but the
+# volterra_dh_path is not called here (_convolve shares its weights), but the
 # benchmark's traced run (perfbench/tracing.py) wraps models.volterra_dh_path
 from .paths import DriverIncrements, TimeGrid, volterra_dh_path, volterra_path  # noqa: F401
 
@@ -184,9 +187,9 @@ _KERNELS_LOCK = threading.Lock()  # one build per key when chunks run on several
 
 @contextlib.contextmanager
 def kernel_cache():
-    """Within the block, each distinct kernel matrix is built once.
+    """Within the block, each distinct kernel's weights are made once.
 
-    _convolve keys its matrices by (builder, KernelSpec, TimeGrid), all
+    _convolve keys its weights by (builder, KernelSpec, TimeGrid), all
     immutable, and keeps them until the block exits.  The cache lives in
     a context variable: threads reach it through a copy of the caller's
     context (greeks._per_tile), and concurrent blocks in other threads
@@ -200,15 +203,19 @@ def kernel_cache():
 
 
 def _kernel_weights(build, kernel: KernelSpec, grid: TimeGrid):
-    """W = build(kernel, times) and its row integrals dt W.sum(axis=1), read-only.
+    """paths.kernel_weights of build(kernel, times) and the row integrals dt W.sum(axis=1), read-only.
 
-    Built once per kernel_cache() block, on every call outside one.
+    The weights are the dense matrix below paths._FFT_STEPS and the
+    kernel's spectrum from there; the row integrals are summed from the
+    per-lag vector either way, so they never depend on the grid's route.
+    Made once per kernel_cache() block, on every call outside one.
     """
     cache, key = _KERNELS.get({}), (build, kernel, grid)
     with _KERNELS_LOCK:
         if key not in cache:
-            w = build(kernel, grid.times)
-            row_int = grid.dt * w.sum(axis=1)
+            by_lag = kernel_by_lag if build is kernel_matrix else kernel_dh_by_lag
+            w = paths.kernel_weights(build, by_lag, kernel, grid)
+            row_int = grid.dt * toeplitz_row_sums(by_lag(kernel, grid.times))
             w.flags.writeable = row_int.flags.writeable = False  # shared by every tile of the call
             cache[key] = w, row_int
         return cache[key]
@@ -219,17 +226,18 @@ def _convolve(build, kernel: KernelSpec, grid: TimeGrid, inc: DriverIncrements):
 
     With build = kernel_matrix these are the Volterra path Y and the kernel
     row integrals kappa_hat_i = dt sum_{j<i} K(t_i, t_j); with
-    kernel_dh_matrix, dY/dH and the row integrals of dK/dH.  Both come from
-    one matrix, built once per kernel_cache() block (on every call outside
-    one).  The constant H = 1/2, eps = 0 kernel keeps volterra_path's
-    exact running sum, so the results equal those of volterra_path and
-    volterra_dh_path bit for bit.
+    kernel_dh_matrix, dY/dH and the row integrals of dK/dH.  The weights
+    are made once per kernel_cache() block (on every call outside one)
+    and applied by paths.convolve, the route volterra_path and
+    volterra_dh_path take on every grid; the constant H = 1/2, eps = 0
+    kernel keeps volterra_path's exact running sum.  So the results equal
+    those of volterra_path and volterra_dh_path bit for bit.
     """
     w, row_int = _kernel_weights(build, kernel, grid)
     if build is kernel_matrix and kernel.H == 0.5 and kernel.eps == 0.0:
         y = volterra_path(kernel, grid, inc).Y
     else:
-        y = paths.convolve_kernel(w, inc.dZ)
+        y = paths.convolve(w, grid, inc)
     return y, row_int
 
 

@@ -21,6 +21,17 @@ convolution with dK/dH in place of K gives the pathwise H-derivative.
 An optional variance-exact variant replaces K(t_i, t_j) with per-cell
 root-mean-square kernel weights (used to tighten variance tests; the
 weight formulas elsewhere assume the left-point scheme).
+
+The weights are Toeplitz, so Y is a causal convolution of dZ with the
+kernel's per-lag vector.  Grids with n < 1536 (_FFT_STEPS) multiply by
+the dense (n+1) x n matrix (convolve_kernel); from n = 1536 on, where a
+real FFT is faster on a 1024-path tile, Y is the inverse rfft of the
+product of the kernel's spectrum and dZ's, and no dense matrix is built.
+Each DriverIncrements transforms its dZ once, and every kernel applied
+to it shares that spectrum.  FFT rows are computed independently, so a
+path's Y never depends on the other paths of the call.  This arithmetic
+is convolution version 2 (CONVOLUTION, in the CLI schema line); version
+1 used the dense product on every grid.
 """
 
 from __future__ import annotations
@@ -32,12 +43,24 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
-from .kernel import KernelSpec, cell_variance_matrix, kernel_dh_matrix, kernel_matrix
+from .kernel import (
+    KernelSpec,
+    cell_variance_by_lag,
+    cell_variance_matrix,
+    kernel_by_lag,
+    kernel_dh_by_lag,
+    kernel_dh_matrix,
+    kernel_matrix,
+)
 
 RNG_STREAM = 2  # version of the (seed, path index) -> draws map, in the CLI schema line
+CONVOLUTION = 2  # version of the dZ -> Y arithmetic (2: real FFT from _FFT_STEPS), in the CLI schema line
 _BLOCK = 256  # paths per substream and per convolution product; divides greeks._TILE
 _ROW_BLOCK = 512  # grids with n above this convolve in row blocks; smaller ones in one product
+_FFT_STEPS = 1536  # grids with at least this many steps convolve by real FFT; GEMM wins below
+_FFT_GROUP = 128  # paths per inverse transform on each thread; keeps the scratch arrays near 8 MB
 _PARALLEL_STEPS = 1 << 20  # draws of at least this many path-steps fill their blocks on threads
 
 __all__ = [
@@ -87,6 +110,15 @@ class DriverIncrements:
     dZ: np.ndarray
     rho: float
 
+    @cached_property
+    def _dz_spectrum(self) -> np.ndarray:
+        """rfft of each path's dZ zero-padded to _fft_len(n), taken once, the paths split between CPUs."""
+        n = self.dZ.shape[-1]
+        dz = self.dZ.reshape(-1, n)
+        out = np.empty((len(dz), _fft_len(n) // 2 + 1), dtype=complex)
+        _on_threads(lambda lo, hi: np.fft.rfft(dz[lo:hi], n=_fft_len(n), out=out[lo:hi]), len(dz))
+        return out
+
 
 @dataclass(frozen=True)
 class VolterraPath:
@@ -96,11 +128,30 @@ class VolterraPath:
     kernel: KernelSpec
 
 
+def _fft_len(n: int) -> int:
+    """Transform length for the convolution of two n-vectors: no wrap-around reaches outputs 0..n-1."""
+    return scipy.fft.next_fast_len(2 * n - 1, real=True)
+
+
 def _cpu_count() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         return os.cpu_count() or 1
+
+
+def _on_threads(task, rows: int) -> None:
+    """task(lo, hi) on one contiguous share of rows 0..rows per CPU, on a per-call pool.
+
+    The FFT rows are transformed one by one (numpy releases the GIL), so
+    the values do not depend on the split.
+    """
+    k = min(_cpu_count(), rows)
+    if k <= 1:
+        task(0, rows)
+        return
+    with ThreadPoolExecutor(max_workers=k) as pool:
+        list(pool.map(lambda i: task(i * rows // k, (i + 1) * rows // k), range(k)))  # a failed task raises here
 
 
 def gen_increments(
@@ -173,6 +224,54 @@ def convolve_kernel(kmat: np.ndarray, dz: np.ndarray) -> np.ndarray:
     return y
 
 
+def kernel_weights(build, by_lag, spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
+    """One kernel's convolution weights in the form convolve applies.
+
+    build and by_lag are the same weights in two forms: a dense builder
+    (kernel_matrix, kernel_dh_matrix or cell_variance_matrix) and its
+    per-lag vector (kernel_by_lag, ...).  Below _FFT_STEPS this is the
+    (n+1) x n matrix build(spec, times); from there, the rfft of the
+    per-lag vector zero-padded to _fft_len(n), and no matrix is built.
+    """
+    if grid.n < _FFT_STEPS:
+        return build(spec, grid.times)
+    return np.fft.rfft(by_lag(spec, grid.times), n=_fft_len(grid.n))
+
+
+def convolve(weights: np.ndarray, grid: TimeGrid, inc: DriverIncrements) -> np.ndarray:
+    """Y = W dZ for the weights kernel_weights made on grid; Y_0 = 0, last axis length n+1.
+
+    A dense matrix goes through convolve_kernel.  A spectrum multiplies
+    the increments' own spectrum (taken once per DriverIncrements) and is
+    transformed back on one thread per CPU, each taking its share of the
+    paths 128 at a time into scratch arrays written in place, so no array
+    is allocated per group.
+    """
+    n = grid.n
+    if inc.dZ.shape[-1] != n:
+        raise ValueError("increments do not match the grid")
+    if weights.ndim == 2:
+        return convolve_kernel(weights, inc.dZ)
+    if weights.shape != (_fft_len(n) // 2 + 1,):
+        raise ValueError(f"the kernel spectrum is not one of the {n}-step grid")
+    y = np.empty(inc.dZ.shape[:-1] + (n + 1,))
+    y2 = y.reshape(-1, n + 1)
+    y2[:, 0] = 0.0
+    dz_hat, size = inc._dz_spectrum, _fft_len(n)
+
+    def back(lo, hi):  # _FFT_GROUP rows at a time through two scratch arrays
+        prod = np.empty((min(_FFT_GROUP, hi - lo), len(weights)), dtype=complex)
+        full = np.empty((len(prod), size))
+        for p in range(lo, hi, _FFT_GROUP):
+            m = min(_FFT_GROUP, hi - p)
+            np.multiply(dz_hat[p : p + m], weights, out=prod[:m])
+            np.fft.irfft(prod[:m], n=size, out=full[:m])
+            y2[p : p + m, 1:] = full[:m, :n]
+
+    _on_threads(back, len(y2))
+    return y
+
+
 def volterra_path(
     spec: KernelSpec, grid: TimeGrid, inc: DriverIncrements, cell_integrated: bool = False
 ) -> VolterraPath:
@@ -189,12 +288,13 @@ def volterra_path(
         y = np.zeros(inc.dZ.shape[:-1] + (grid.n + 1,))
         np.cumsum(inc.dZ, axis=-1, out=y[..., 1:])
         return VolterraPath(Y=y, kernel=spec)
-    build = cell_variance_matrix if cell_integrated else kernel_matrix
-    return VolterraPath(Y=convolve_kernel(build(spec, grid.times), inc.dZ), kernel=spec)
+    if cell_integrated:
+        w = kernel_weights(cell_variance_matrix, cell_variance_by_lag, spec, grid)
+    else:
+        w = kernel_weights(kernel_matrix, kernel_by_lag, spec, grid)
+    return VolterraPath(Y=convolve(w, grid, inc), kernel=spec)
 
 
 def volterra_dh_path(spec: KernelSpec, grid: TimeGrid, inc: DriverIncrements) -> np.ndarray:
     """Pathwise H-derivative: the same convolution with dK/dH weights."""
-    if inc.dZ.shape[-1] != grid.n:
-        raise ValueError("increments do not match the grid")
-    return convolve_kernel(kernel_dh_matrix(spec, grid.times), inc.dZ)
+    return convolve(kernel_weights(kernel_dh_matrix, kernel_dh_by_lag, spec, grid), grid, inc)

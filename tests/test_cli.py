@@ -259,7 +259,7 @@ def test_price_command_matches_oracle(tmp_path):
     cfg = BS_CFG.replace("kinds = delta\n", "").replace("oracles = fd, bs\n", "")
     assert main(["price", "--config", _write(tmp_path, cfg), "--out", out]) == 0
     header, cols, rows = _read_csv(out)
-    assert header == "# volterra-greeks v2 schema; rng stream 2"
+    assert header == "# volterra-greeks v2 schema; rng stream 2; convolution 2"
     assert cols == ["kind", "value", "stderr", "ci_low", "ci_high",
                     "n_paths", "n_discarded", "seed", "wallclock_ms"]
     assert len(rows) == 1
@@ -401,7 +401,7 @@ def test_converge_command(tmp_path):
     out = str(tmp_path / "conv.csv")
     assert main(["converge", "--config", _write(tmp_path, cfg), "--out", out]) == 0
     header, cols, rows = _read_csv(out)
-    assert header == "# volterra-greeks v2 schema; rng stream 2"
+    assert header == "# volterra-greeks v2 schema; rng stream 2; convolution 2"
     assert cols == ["ns", "value", "ci_low", "ci_high"]
     assert [r[0] for r in rows] == ["500", "2000", "8000"]
     for r in rows:
@@ -598,7 +598,7 @@ def test_stdout_output(tmp_path, capsys):
     assert main(["greek", "--config", cfg]) == 0
     captured = capsys.readouterr().out
     lines = captured.strip().split("\n")
-    assert lines[0] == "# volterra-greeks v2 schema; rng stream 2"
+    assert lines[0] == "# volterra-greeks v2 schema; rng stream 2; convolution 2"
     rows = list(csv.reader(io.StringIO("\n".join(lines[1:]))))
     assert rows[0][0] == "kind"
     assert rows[1][0] == "delta"

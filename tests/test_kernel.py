@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 
 from volterra_greeks.kernel import (
     KernelSpec,
+    cell_variance_by_lag,
     cell_variance_matrix,
+    kernel_by_lag,
     kernel_dh,
+    kernel_dh_by_lag,
     kernel_dh_matrix,
     kernel_eval,
     kernel_kappa,
     kernel_matrix,
     kernel_variance,
     kernel_variance_dh,
+    toeplitz_row_sums,
 )
 
 SQRT_028 = math.sqrt(0.28)
@@ -169,6 +173,25 @@ def test_kernel_matrices_reject_non_uniform_times(build):
     for times in ([0.0, 0.1, 0.5, 0.6, 1.0], [0.0, 0.5, 0.25, 0.75], [1.0, 0.75, 0.5, 0.25, 0.0]):
         with pytest.raises(ValueError, match="uniformly spaced"):
             build(spec, np.array(times))
+
+
+@pytest.mark.parametrize("n", [1, 7, 256, 257, 600, 2048])
+@pytest.mark.parametrize(
+    "build,by_lag",
+    [
+        (kernel_matrix, kernel_by_lag),
+        (kernel_dh_matrix, kernel_dh_by_lag),
+        (cell_variance_matrix, cell_variance_by_lag),
+    ],
+    ids=["K", "dK/dH", "cell"],
+)
+def test_row_sums_from_the_lag_vector_equal_the_dense_ones(build, by_lag, n):
+    # the FFT grids take the row integrals from the per-lag vector, with no
+    # dense matrix; they must equal the matrix's own row sums bit for bit
+    spec, times = KernelSpec(H=0.14, eps=1e-6), np.arange(n + 1) * (1.0 / n)
+    w, v = build(spec, times), by_lag(spec, times)
+    assert np.array_equal(w[1:, 0], v)  # column 0 holds the lags 1..n
+    assert np.array_equal(toeplitz_row_sums(v), w.sum(axis=1))
 
 
 @pytest.mark.parametrize("H,eps", [(0.14, 1e-6), (0.3, 0.0), (0.5, 0.0), (0.8, 1e-3)])

@@ -423,3 +423,26 @@ def test_bundle_builds_each_kernel_matrix_once(monkeypatch, kernel):
     mixed = MixedAlphaRFSV(v0=0.62, xi_h=0.21, xi_hp=0.3, alpha=1.0, rho=-0.5, kernel_h=kernel, kernel_hp=K30)
     make_bundle(mixed, MKT, grid, inc)
     assert builds["kernel_matrix"] == 2
+
+
+@pytest.mark.parametrize("n", [600, 2048])
+def test_convolve_equals_the_public_doors(n):
+    # _convolve and volterra_path / volterra_dh_path take one route on
+    # GEMM (n = 600) and FFT (n = 2048) grids; the row integrals stay the
+    # dense matrix's row sums bit for bit on both
+    from volterra_greeks import paths
+    from volterra_greeks.kernel import kernel_dh_matrix, kernel_matrix
+    from volterra_greeks.paths import volterra_dh_path, volterra_path
+
+    assert (n >= paths._FFT_STEPS) == (n == 2048)
+    grid = TimeGrid(T=1.0, n=n)
+    inc = gen_increments(grid, -0.3, seed=n, n_paths=300)
+    for kernel in (K14, KernelSpec(H=0.7, eps=0.0)):
+        y, kappa_hat = models._convolve(models.kernel_matrix, kernel, grid, inc)
+        assert np.array_equal(y, volterra_path(kernel, grid, inc).Y)
+        assert np.array_equal(kappa_hat, grid.dt * kernel_matrix(kernel, grid.times).sum(axis=1))
+        dydh, kappa_hat_dh = models._convolve(models.kernel_dh_matrix, kernel, grid, inc)
+        assert np.array_equal(dydh, volterra_dh_path(kernel, grid, inc))
+        assert np.array_equal(kappa_hat_dh, grid.dt * kernel_dh_matrix(kernel, grid.times).sum(axis=1))
+    with pytest.raises(ValueError):  # increments of another grid
+        AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.3, kernel=K14).path(TimeGrid(T=1.0, n=n + 1), inc)

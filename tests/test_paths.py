@@ -7,8 +7,9 @@ import pytest
 from brute_force import stream2_increments
 
 from volterra_greeks import greeks, paths
-from volterra_greeks.kernel import KernelSpec, kernel_eval, kernel_matrix, kernel_variance
+from volterra_greeks.kernel import KernelSpec, kernel_by_lag, kernel_eval, kernel_matrix, kernel_variance
 from volterra_greeks.paths import (
+    DriverIncrements,
     TimeGrid,
     convolve_kernel,
     gen_increments,
@@ -225,6 +226,65 @@ def test_convolve_kernel_is_causal_across_row_blocks():
         assert moved[:, j + 1 :].all()
 
 
+def _fft_case(n):
+    """Spectrum and per-lag vector of the _conv_case kernel on an FFT grid."""
+    assert n >= paths._FFT_STEPS
+    spec, grid = KernelSpec(H=0.14, eps=1e-6), TimeGrid(T=1.0, n=n)
+    w = paths.kernel_weights(kernel_matrix, kernel_by_lag, spec, grid)
+    assert w.ndim == 1  # a spectrum: no (n+1) x n matrix is built
+    return w, kernel_by_lag(spec, grid.times)
+
+
+def _fft_conv(w, dz, grid=None):
+    grid = grid or TimeGrid(T=1.0, n=dz.shape[-1])
+    return paths.convolve(w, grid, DriverIncrements(dW=dz, dWt=dz, dZ=dz, rho=0.0))
+
+
+@pytest.mark.parametrize("n", [1536, 2048, 2500])
+def test_fft_convolution_matches_dense(n):
+    # an FFT spreads its rounding over the whole row, so the bound is
+    # normwise, |error| <= 1e-15 |k| |dz| per entry; a per-term bound fails
+    # on rows with one tiny term (Y_1 = k_0 dZ_0 with dZ_0 near zero)
+    kmat, dzs = _conv_case(n, n)
+    w, k = _fft_case(n)
+    for dz in dzs:
+        got, want = _fft_conv(w, dz), _dense(kmat, dz)
+        assert got.shape == want.shape == dz.shape[:-1] + (n + 1,)
+        assert np.all(got[..., 0] == 0.0)
+        scale = np.linalg.norm(k) * np.linalg.norm(dz, axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+
+def test_fft_rows_do_not_depend_on_the_batch(monkeypatch):
+    # FFT rows are transformed independently: no prefix exception on FFT grids
+    spec, grid = KernelSpec(H=0.14, eps=1e-6), TimeGrid(T=1.0, n=2048)
+    inc = gen_increments(grid, 0.3, seed=5, n_paths=2048)
+    y = volterra_path(spec, grid, inc).Y
+    assert np.array_equal(volterra_path(spec, grid, gen_increments(grid, 0.3, seed=5, n_paths=300)).Y, y[:300])
+    for lo, hi in ((0, 256), (256, 1024), (1024, 1100), (5, 9), (2047, 2048)):
+        part = DriverIncrements(dW=inc.dW[lo:hi], dWt=inc.dWt[lo:hi], dZ=inc.dZ[lo:hi], rho=inc.rho)
+        assert np.array_equal(volterra_path(spec, grid, part).Y, y[lo:hi])
+    for cpus in (1, 3):  # the transforms split the paths between threads
+        monkeypatch.setattr(paths, "_cpu_count", lambda: cpus)
+        part = DriverIncrements(dW=inc.dW[:300], dWt=inc.dWt[:300], dZ=inc.dZ[:300], rho=inc.rho)
+        assert np.array_equal(volterra_path(spec, grid, part).Y, y[:300])
+
+
+def test_fft_convolution_is_causal():
+    n = 2048
+    w, k = _fft_case(n)
+    dz = np.random.default_rng(3).standard_normal((5, n))
+    y = _fft_conv(w, dz)
+    for j in (0, 1, 1023, 1024, 2046, 2047):
+        bumped = dz.copy()
+        bumped[:, j] += 1.0
+        got = _fft_conv(w, bumped)
+        assert np.all(got[:, j + 1 :] != y[:, j + 1 :])
+        # the earlier entries move only by the transform's rounding
+        scale = np.linalg.norm(k) * np.linalg.norm(bumped, axis=-1, keepdims=True)
+        assert np.all(np.abs(got[:, : j + 1] - y[:, : j + 1]) <= 1e-15 * scale)
+
+
 def test_shape_mismatch_rejected():
     g = TimeGrid(T=1.0, n=8)
     inc = gen_increments(TimeGrid(T=1.0, n=4), rho=0.0, seed=0)
@@ -236,6 +296,16 @@ def test_shape_mismatch_rejected():
     for cells in (599, 601):
         with pytest.raises(ValueError):
             convolve_kernel(kmat, np.zeros((2, cells)))
+
+
+def test_fft_shape_mismatch_rejected():
+    # a spectrum's length does not name its grid, so the grid is checked
+    w, _ = _fft_case(2048)
+    for cells in (2047, 2049):
+        with pytest.raises(ValueError):
+            _fft_conv(w, np.zeros((2, cells)), TimeGrid(T=1.0, n=2048))
+    with pytest.raises(ValueError):
+        _fft_conv(w, np.zeros((2, 2500)))  # increments of another grid, weights of this one
 
 
 @pytest.mark.parametrize("cell_integrated", [False, True])

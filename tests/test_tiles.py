@@ -113,6 +113,42 @@ def test_draw_cap_does_not_change_estimates(monkeypatch):
     assert runs[0] == runs[1]
 
 
+def test_fft_grid_estimates_do_not_depend_on_tile_or_draw_size(monkeypatch):
+    # n = 2048 convolves by FFT; a draw at the cap (2048 paths) plus 300 more
+    grid, model, n_paths = TimeGrid(T=1.0, n=2048), MODELS["alpharfsv"], 2048 + 300
+    assert grid.n >= paths._FFT_STEPS
+    kinds = ["delta", "hsens"]
+    runs = []
+    for tile, steps in ((1024, greeks._DRAW_STEPS), (256, greeks._DRAW_STEPS), (1024, greeks._CHUNK * grid.n)):
+        monkeypatch.setattr(greeks, "_TILE", tile)
+        monkeypatch.setattr(greeks, "_DRAW_STEPS", steps)
+        runs.append((
+            estimate_many(kinds, model, MARKET, OPTION, grid, n_paths, seed=13),
+            fd_greek(kinds, model, MARKET, OPTION, grid, n_paths, seed=13),
+        ))
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("name", ["alpharfsv", "mixed", "rough_stein_stein"])
+def test_fft_and_gemm_estimates_agree(monkeypatch, name):
+    # the two convolutions differ only in rounding (at most 4e-12 measured)
+    grid, model = TimeGrid(T=1.0, n=2048), MODELS[name]
+    kinds = [kind for (m, kind), want in GOLDEN.items() if m == name and want is not None]
+    fd_kinds = FD_KINDS.get(name, ["delta"])
+    assert grid.n >= paths._FFT_STEPS
+    runs = []
+    for steps in (paths._FFT_STEPS, grid.n + 1):  # FFT, then forced GEMM
+        monkeypatch.setattr(paths, "_FFT_STEPS", steps)
+        runs.append(
+            estimate_many(kinds, model, MARKET, OPTION, grid, 1024, seed=19)
+            + fd_greek(fd_kinds, model, MARKET, OPTION, grid, 1024, seed=19)
+        )
+    for fft, gemm in zip(*runs):
+        assert fft.kind == gemm.kind and fft.n_paths == gemm.n_paths
+        assert fft.value == pytest.approx(gemm.value, rel=1e-9, abs=0.0)
+        assert fft.stderr == pytest.approx(gemm.stderr, rel=1e-9, abs=0.0)
+
+
 def test_kernel_cache_builds_each_matrix_once_per_block(monkeypatch):
     builds = []
 
@@ -156,12 +192,16 @@ def test_worker_threads_build_each_matrix_once(monkeypatch):
     assert threaded == estimate_many(["delta", "hsens"], model, MARKET, OPTION, grid, 16 * 256, seed=41)
 
 
-# peak memory, in units of one (_CHUNK x n) float64 array: at n = 1024 a
+# peak memory, in units of one (_CHUNK x 1024) float64 array: at n = 1024 a
 # draw is 4096 paths (2^22 path-steps), so the draw (dW, dWt and dZ) is
 # one and a half of them, and each tile adds an eighth per path array
 # (2.381 and 1.879 measured); whole-_CHUNK draws peaked at 3.88 and 3.38,
-# and the untiled engine held about ten (estimate) and five (FD) at once
+# and the untiled engine held about ten (estimate) and five (FD) at once.
+# At n = 2048 a draw is 2048 paths, again one and a half units, and the
+# FFT tile holds dZ's spectrum (half a unit) but no dense kernel matrices
+# (3.256 and 2.506 measured; 3.755 and 2.753 with the matrices)
 _MEM_GRID = TimeGrid(T=1.0, n=1024)
+_MEM_FFT_GRID = TimeGrid(T=1.0, n=2048)
 _MEM_MODEL = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.05, kernel=KernelSpec(H=0.14))
 _MEM_MKT, _MEM_OPT = MarketSpec(s0=100.0, r=0.05), OptionSpec(strike=100.0, maturity=1.0)
 _ARRAY = greeks._CHUNK * _MEM_GRID.n * 8
@@ -181,8 +221,10 @@ def _peak_arrays(run) -> float:
     [
         (lambda: estimate_many(["delta", "hsens"], _MEM_MODEL, _MEM_MKT, _MEM_OPT, _MEM_GRID, greeks._CHUNK, 3), 2.45),
         (lambda: fd_greek("hsens", _MEM_MODEL, _MEM_MKT, _MEM_OPT, _MEM_GRID, greeks._CHUNK, 3), 1.95),
+        (lambda: estimate_many(["delta", "hsens"], _MEM_MODEL, _MEM_MKT, _MEM_OPT, _MEM_FFT_GRID, 2048, 3), 3.35),
+        (lambda: fd_greek("hsens", _MEM_MODEL, _MEM_MKT, _MEM_OPT, _MEM_FFT_GRID, 2048, 3), 2.58),
     ],
-    ids=["estimate_many", "fd_greek"],
+    ids=["estimate_many", "fd_greek", "estimate_many_fft", "fd_greek_fft"],
 )
 def test_peak_memory_is_one_draw_plus_one_tile(run, limit):
     assert _peak_arrays(run) <= limit
