@@ -11,8 +11,8 @@ use (_TASK_KEYS).  [task] variant is read only so that older files load:
 `derived` changes nothing, any other value is a config error.  Values are
 read as written (no % interpolation); a number must be finite.
 Output is CSV only, UTF-8, first line `# volterra-greeks v2 schema; rng
-stream 2; convolution 2` (paths.RNG_STREAM and paths.CONVOLUTION);
-plotting is left to external tools.
+stream 2; convolution 2; normal 2` (paths.RNG_STREAM, paths.CONVOLUTION
+and greeks.NORMAL); plotting is left to external tools.
 
 Exit statuses: 0 success, 2 config error (message carries the
 section.key field path, or the line of a malformed file), 3 unsupported
@@ -34,6 +34,7 @@ from typing import List, Optional, Sequence
 
 from .greeks import (
     GREEK_KINDS,
+    NORMAL,
     GreekEstimate,
     NumericalFailureError,
     OptionSpec,
@@ -57,7 +58,7 @@ from .paths import CONVOLUTION, RNG_STREAM, TimeGrid
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
-SCHEMA_COMMENT = f"# volterra-greeks v2 schema; rng stream {RNG_STREAM}; convolution {CONVOLUTION}"
+SCHEMA_COMMENT = f"# volterra-greeks v2 schema; rng stream {RNG_STREAM}; convolution {CONVOLUTION}; normal {NORMAL}"
 WORKERS_ENV = "VOLTERRA_GREEKS_WORKERS"
 _PRICE_COLS = ["kind", "value", "stderr", "ci_low", "ci_high", "n_paths", "n_discarded", "seed", "wallclock_ms"]
 _GREEK_COLS = ["kind", "method", "value", "stderr", "ci_low", "ci_high",

@@ -38,6 +38,9 @@ fixed pairwise order, so estimates are bit-identical for a given (seed,
 config) under any worker count, draw or tile size, and runs with larger
 n_paths extend smaller ones (for 256 <= n < 1536 up to the rounding of
 the smaller run's last group, when n_paths is not a multiple of 256).
+The CI is value +- z stderr, z the two-sided standard normal quantile
+from statistics.NormalDist (normal version 2, NORMAL, in the CLI schema
+line; version 1 took z from scipy.stats, which differs in the last bits).
 """
 
 from __future__ import annotations
@@ -47,10 +50,10 @@ from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass
 from functools import partial
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .models import MarketSpec, ModelSpec, kernel_cache, make_bundle
 from .paths import DriverIncrements, TimeGrid, gen_increments
@@ -78,6 +81,7 @@ GREEK_KINDS = ("price", "delta", "gamma", "rho", "vega", "hsens")
 _CHUNK = 8192  # most paths per draw (gen_increments call)
 _TILE = 1024  # paths per vol path, pricing and weight pass; four RNG blocks, divides _CHUNK
 _DRAW_STEPS = 1 << 22  # a draw holds at most this many path-steps, or one tile
+NORMAL = 2  # version of the normal quantile and cdf (1 was scipy.stats), in the CLI schema line
 
 
 class NumericalFailureError(RuntimeError):
@@ -213,7 +217,7 @@ def _reduce(kind, x, valid, confidence) -> GreekEstimate:
         raise NumericalFailureError(f"{n_used} usable paths for {kind}, {n_bad} of them with non-finite samples")
     value = float(np.mean(used))
     stderr = float(np.std(used, ddof=1) / math.sqrt(n_used))
-    z = float(norm.ppf(0.5 * (1.0 + confidence)))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + confidence))
     return GreekEstimate(
         kind=kind,
         value=value,

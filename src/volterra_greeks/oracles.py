@@ -26,7 +26,6 @@ from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import norm
 
 from .greeks import GreekEstimate, OptionSpec, _per_tile, _reduce, _validate_run, payoff
 from .models import MarketSpec, ModelSpec, UnsupportedError, price_path, vol_path
@@ -44,6 +43,15 @@ class BsGreeks:
     rho: float
 
 
+def _norm_cdf(x: float) -> float:
+    """Standard normal cdf; the erfc form keeps its relative accuracy deep in the lower tail, 0.5 (1 + erf) does not."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _norm_pdf(x: float) -> float:
+    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
 def bs_price_greeks(
     s0: float, strike: float, maturity: float, r: float, sigma: float, payout: str = "call"
 ) -> BsGreeks:
@@ -52,8 +60,8 @@ def bs_price_greeks(
     d1 = (math.log(s0 / strike) + (r + 0.5 * sigma * sigma) * maturity) / st
     d2 = d1 - st
     disc = math.exp(-r * maturity)
-    nd1, nd2 = norm.cdf(d1), norm.cdf(d2)
-    pd1, pd2 = norm.pdf(d1), norm.pdf(d2)
+    nd1, nd2 = _norm_cdf(d1), _norm_cdf(d2)
+    pd1, pd2 = _norm_pdf(d1), _norm_pdf(d2)
     if payout == "call":
         return BsGreeks(
             price=s0 * nd1 - strike * disc * nd2,
@@ -64,11 +72,11 @@ def bs_price_greeks(
         )
     if payout == "put":
         return BsGreeks(
-            price=strike * disc * (1.0 - nd2) - s0 * (1.0 - nd1),
-            delta=nd1 - 1.0,
+            price=strike * disc * _norm_cdf(-d2) - s0 * _norm_cdf(-d1),
+            delta=-_norm_cdf(-d1),
             gamma=pd1 / (s0 * st),
             vega=s0 * pd1 * math.sqrt(maturity),
-            rho=-strike * maturity * disc * (1.0 - nd2),
+            rho=-strike * maturity * disc * _norm_cdf(-d2),
         )
     if payout == "digital_call":
         return BsGreeks(

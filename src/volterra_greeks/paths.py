@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from .kernel import (
     KernelSpec,
@@ -129,8 +128,21 @@ class VolterraPath:
 
 
 def _fft_len(n: int) -> int:
-    """Transform length for the convolution of two n-vectors: no wrap-around reaches outputs 0..n-1."""
-    return scipy.fft.next_fast_len(2 * n - 1, real=True)
+    """Transform length for the convolution of two n-vectors: no wrap-around reaches outputs 0..n-1.
+
+    The smallest 2^a 3^b 5^c >= 2n - 1: the length scipy.fft.next_fast_len
+    picks for a real transform, so every grid keeps convolution 2's bits.
+    """
+    target = 2 * n - 1
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())  # least p35 * 2^a >= target
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _cpu_count() -> int:

@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -259,7 +262,7 @@ def test_price_command_matches_oracle(tmp_path):
     cfg = BS_CFG.replace("kinds = delta\n", "").replace("oracles = fd, bs\n", "")
     assert main(["price", "--config", _write(tmp_path, cfg), "--out", out]) == 0
     header, cols, rows = _read_csv(out)
-    assert header == "# volterra-greeks v2 schema; rng stream 2; convolution 2"
+    assert header == "# volterra-greeks v2 schema; rng stream 2; convolution 2; normal 2"
     assert cols == ["kind", "value", "stderr", "ci_low", "ci_high",
                     "n_paths", "n_discarded", "seed", "wallclock_ms"]
     assert len(rows) == 1
@@ -401,7 +404,7 @@ def test_converge_command(tmp_path):
     out = str(tmp_path / "conv.csv")
     assert main(["converge", "--config", _write(tmp_path, cfg), "--out", out]) == 0
     header, cols, rows = _read_csv(out)
-    assert header == "# volterra-greeks v2 schema; rng stream 2; convolution 2"
+    assert header == "# volterra-greeks v2 schema; rng stream 2; convolution 2; normal 2"
     assert cols == ["ns", "value", "ci_low", "ci_high"]
     assert [r[0] for r in rows] == ["500", "2000", "8000"]
     for r in rows:
@@ -598,7 +601,59 @@ def test_stdout_output(tmp_path, capsys):
     assert main(["greek", "--config", cfg]) == 0
     captured = capsys.readouterr().out
     lines = captured.strip().split("\n")
-    assert lines[0] == "# volterra-greeks v2 schema; rng stream 2; convolution 2"
+    assert lines[0] == "# volterra-greeks v2 schema; rng stream 2; convolution 2; normal 2"
     rows = list(csv.reader(io.StringIO("\n".join(lines[1:]))))
     assert rows[0][0] == "kind"
     assert rows[1][0] == "delta"
+
+
+_NO_SCIPY_RUN = """\
+import sys
+import volterra_greeks, volterra_greeks.cli
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+sys.modules["scipy"] = None  # from here on any scipy import raises
+for argv in sys.argv[1:]:
+    code = volterra_greeks.cli.main(argv.split())
+    assert code == 0, (argv, code)
+"""
+
+FFT_CONVERGE_CFG = """\
+[model]
+kind = alpharfsv
+v0 = 0.62
+xi = 0.21
+alpha = 1.0
+rho = -0.05
+h = 0.14
+
+[market]
+s0 = 100
+
+[option]
+k = 100
+t = 1.0
+
+[numerics]
+n_steps = 1536
+n_paths = 300
+seed = 5
+
+[task]
+kinds = delta
+ns_schedule = 100, 300
+"""
+
+
+def test_package_runs_without_scipy(tmp_path):
+    """Importing the package loads no scipy module, and the CLI runs with scipy made unimportable."""
+    greek = _write(tmp_path, BS_CFG.replace("n_paths = 8000", "n_paths = 1000"), "greek.cfg")
+    fft = _write(tmp_path, FFT_CONVERGE_CFG, "converge.cfg")  # n_steps = 1536: the FFT convolution
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [f"greek --config {greek} --out {tmp_path / 'g.csv'}", f"converge --config {fft} --out {tmp_path / 'c.csv'}"]
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert [r[1] for r in _read_csv(tmp_path / "g.csv")[2]] == ["malliavin", "fd", "bs"]
+    assert [r[0] for r in _read_csv(tmp_path / "c.csv")[2]] == ["100", "300"]

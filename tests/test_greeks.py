@@ -103,6 +103,17 @@ def test_estimate_interval_shape():
     assert est.value - est.ci_low == pytest.approx(half, rel=1e-12)
 
 
+def test_ci_quantile_is_within_8_ulp_of_scipy():
+    # samples +-1: mean 0 and stderr 1 exactly, so ci_high is z itself (normal version 2)
+    named = [0.9, 0.95, 0.99, 0.995, 0.999]
+    for confidence in named + list(np.linspace(0.001, 0.9999, 2000)):
+        est = greeks._reduce("price", np.array([1.0, -1.0]), np.ones(2, dtype=bool), float(confidence))
+        assert est.value == 0.0 and est.stderr == 1.0
+        want = norm.ppf(0.5 * (1.0 + confidence))
+        assert abs(est.ci_high - want) <= 8 * np.spacing(want), confidence
+        assert est.ci_low == -est.ci_high
+
+
 def test_bs_degenerate_battery():
     ref = bs_price_greeks(100.0, 100.0, 1.0, 0.0, 0.2)
     tasks = ["price", "delta", "vega", "gamma", "rho"]

@@ -31,6 +31,48 @@ def test_bs_examples():
         bs_price_greeks(100.0, 100.0, 1.0, 0.0, 0.2, "lookback")
 
 
+def test_normal_cdf_and_pdf_match_scipy():
+    from scipy.special import ndtr
+    from scipy.stats import norm
+
+    from volterra_greeks.oracles import _norm_cdf, _norm_pdf
+
+    x = np.linspace(-37.0, 8.0, 45_001)
+    cdf = np.array([_norm_cdf(v) for v in x])
+    pdf = np.array([_norm_pdf(v) for v in x])
+    np.testing.assert_allclose(cdf, ndtr(x), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(pdf, norm.pdf(x), rtol=1e-15, atol=0.0)
+
+
+def _scipy_bs(s0, strike, maturity, r, sigma, payout):
+    """Textbook closed forms on scipy's normal, each tail probability taken directly."""
+    from scipy.stats import norm
+
+    st = sigma * math.sqrt(maturity)
+    d1 = (math.log(s0 / strike) + (r + 0.5 * sigma * sigma) * maturity) / st
+    d2 = d1 - st
+    disc = math.exp(-r * maturity)
+    vega = s0 * norm.pdf(d1) * math.sqrt(maturity)
+    if payout == "call":
+        return (s0 * norm.cdf(d1) - strike * disc * norm.cdf(d2), norm.cdf(d1), norm.pdf(d1) / (s0 * st), vega,
+                strike * maturity * disc * norm.cdf(d2))
+    if payout == "put":
+        return (strike * disc * norm.cdf(-d2) - s0 * norm.cdf(-d1), -norm.cdf(-d1), norm.pdf(d1) / (s0 * st), vega,
+                -strike * maturity * disc * norm.cdf(-d2))
+    pd2 = norm.pdf(d2)
+    return (disc * norm.cdf(d2), disc * pd2 / (s0 * st), -disc * pd2 * d1 / (s0 * s0 * sigma * sigma * maturity),
+            -disc * pd2 * d1 / sigma, disc * (-maturity * norm.cdf(d2) + pd2 * math.sqrt(maturity) / sigma))
+
+
+@pytest.mark.parametrize("strike,payout", [(400.0, "call"), (25.0, "put"), (1000.0, "digital_call")])
+def test_deep_out_of_the_money_closed_forms_match_scipy(strike, payout):
+    # tail probabilities down to 1e-30, where 0.5 (1 + erf) has no correct digit left
+    g = bs_price_greeks(100.0, strike, 1.0, 0.05, 0.2, payout)
+    got = (g.price, g.delta, g.gamma, g.vega, g.rho)
+    np.testing.assert_allclose(got, _scipy_bs(100.0, strike, 1.0, 0.05, 0.2, payout), rtol=1e-12, atol=0.0)
+    assert 0.0 < abs(g.price) < 1e-10
+
+
 def test_put_call_parity():
     for r in (0.0, 0.05):
         c = bs_price_greeks(100.0, 90.0, 2.0, r, 0.3, "call")

@@ -308,6 +308,14 @@ def test_fft_shape_mismatch_rejected():
         _fft_conv(w, np.zeros((2, 2500)))  # increments of another grid, weights of this one
 
 
+def test_fft_len_is_scipys_real_next_fast_len():
+    # the transform length (and so the FFT's bits) is the one convolution 2 was measured with
+    from scipy.fft import next_fast_len
+
+    got = [paths._fft_len(n) for n in range(1, 2**15 + 1)]
+    assert got == [next_fast_len(2 * n - 1, real=True) for n in range(1, 2**15 + 1)]
+
+
 @pytest.mark.parametrize("cell_integrated", [False, True])
 def test_terminal_variance_matches_scheme(cell_integrated):
     # left-point variance is dt * sum_j K(T,t_j)^2; the RMS-cell scheme hits r(T)
