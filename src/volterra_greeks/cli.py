@@ -7,9 +7,10 @@ hp for the mixed model's second kernel; a field default makes its key
 optional), [numerics] the keys of _NUMERICS (epsilon only for a model
 with a kernel), [task] kinds (no kind twice)/oracles/ns_schedule; any
 other key is a config error, and so is a [task] key the command does not
-use (_TASK_KEYS).  [task] variant is read only so that older files load:
-`derived` changes nothing, any other value is a config error.  Values are
-read as written (no % interpolation); a number must be finite.
+use (_TASK_KEYS).  [task] variant and [numerics] workers are read only so
+that older files load: `derived` and `1` change nothing, any other value
+is a config error.  Values are read as written (no % interpolation); a
+number must be finite.
 Output is CSV only, UTF-8, first line `# volterra-greeks v2 schema; rng
 stream 2; convolution 2; normal 2` (paths.RNG_STREAM, paths.CONVOLUTION
 and greeks.NORMAL); plotting is left to external tools.
@@ -59,7 +60,6 @@ from .paths import CONVOLUTION, RNG_STREAM, TimeGrid
 __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
 SCHEMA_COMMENT = f"# volterra-greeks v2 schema; rng stream {RNG_STREAM}; convolution {CONVOLUTION}; normal {NORMAL}"
-WORKERS_ENV = "VOLTERRA_GREEKS_WORKERS"
 _PRICE_COLS = ["kind", "value", "stderr", "ci_low", "ci_high", "n_paths", "n_discarded", "seed", "wallclock_ms"]
 _GREEK_COLS = ["kind", "method", "value", "stderr", "ci_low", "ci_high",
                "n_paths", "n_discarded", "seed", "wallclock_ms", "agreement"]
@@ -78,13 +78,13 @@ _MODELS = {
 # INI key of a spec field not named by its key; a KernelSpec field's key holds its H
 _KEYS = {"strike": "k", "maturity": "t", "kernel": "h", "kernel_h": "h", "kernel_hp": "hp"}
 # [numerics] key -> (type, default or MISSING if required, rule the value must meet, the rule in words);
-# --seed and VOLTERRA_GREEKS_WORKERS are held to the rules of seed and workers
+# --seed is held to the rule of seed
 _NUMERICS = {
     "n_steps": (int, MISSING, lambda v: v >= 1, "must be >= 1"),
     "n_paths": (int, MISSING, lambda v: v >= 2, "must be >= 2"),
     "seed": (int, MISSING, lambda v: v >= 0, "must be >= 0"),
     "confidence": (float, 0.99, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "workers": (int, 1, lambda v: v >= 1, "must be >= 1"),
+    "workers": (int, 1, lambda v: v == 1, "must be 1 (the chunk pool was removed; chunks run in order)"),
     "epsilon": (float, 1e-6, lambda v: v >= 0.0, "must be >= 0"),  # read by the model's kernel fields only
 }
 
@@ -102,7 +102,7 @@ class RunConfig:
     n_paths: int
     seed: int
     confidence: float = 0.99
-    workers: int = 1
+    workers: int = 1  # always 1: [numerics] workers loads only as 1
     kinds: Sequence[str] = ()
     variant: Optional[str] = None  # "derived" when an older file sets it, else None; changes nothing
     oracles: Sequence[str] = ()
@@ -250,7 +250,7 @@ def cmd_price(cfg: RunConfig) -> tuple:
     t0 = time.perf_counter()
     est = estimate_many(
         ["price"], cfg.model, cfg.market, cfg.option, cfg.grid,
-        cfg.n_paths, cfg.seed, cfg.confidence, cfg.workers,
+        cfg.n_paths, cfg.seed, cfg.confidence,
     )[0]
     ms = int(round(1000.0 * (time.perf_counter() - t0)))
     row = [est.kind, est.value, est.stderr, est.ci_low, est.ci_high,
@@ -261,6 +261,12 @@ def cmd_price(cfg: RunConfig) -> tuple:
 def _greek_row(est: GreekEstimate, method: str, seed: int, ms: int, agreement) -> list:
     return [est.kind, method, est.value, est.stderr,
             est.ci_low, est.ci_high, est.n_paths, est.n_discarded, seed, ms, agreement]
+
+
+def _agreement(value: float, ref: float, se: float) -> float:
+    """|value - ref| in standard errors se; with se = 0, 0.0 if the two are equal and inf if not."""
+    diff = abs(value - ref)
+    return diff / se if se > 0.0 else (0.0 if diff == 0.0 else math.inf)
 
 
 def cmd_greek(cfg: RunConfig) -> tuple:
@@ -275,14 +281,14 @@ def cmd_greek(cfg: RunConfig) -> tuple:
 
     ests = estimate_many(
         list(kinds), cfg.model, cfg.market, cfg.option, cfg.grid,
-        cfg.n_paths, cfg.seed, cfg.confidence, cfg.workers,
+        cfg.n_paths, cfg.seed, cfg.confidence,
     )
     malliavin_ms = elapsed_ms()
     fds, fd_ms = [], 0
     if "fd" in cfg.oracles:
         fds = fd_greek(
             list(kinds), cfg.model, cfg.market, cfg.option, cfg.grid,
-            cfg.n_paths, cfg.seed, confidence=cfg.confidence, workers=cfg.workers,
+            cfg.n_paths, cfg.seed, confidence=cfg.confidence,
         )
         fd_ms = elapsed_ms()
     sigma_bs = cfg.model.bs_sigma()
@@ -291,8 +297,7 @@ def cmd_greek(cfg: RunConfig) -> tuple:
         rows.append(_greek_row(est, "malliavin", cfg.seed, malliavin_ms, ""))
         if fds:
             fd = fds[i]
-            se = math.hypot(est.stderr, fd.stderr)
-            agreement = abs(est.value - fd.value) / se if se > 0.0 else 0.0
+            agreement = _agreement(est.value, fd.value, math.hypot(est.stderr, fd.stderr))
             rows.append(_greek_row(fd, "fd", cfg.seed, fd_ms, agreement))
         if "bs" in cfg.oracles and sigma_bs is not None and est.kind != "hsens":
             bs = bs_price_greeks(
@@ -300,7 +305,7 @@ def cmd_greek(cfg: RunConfig) -> tuple:
                 cfg.market.r, sigma_bs, cfg.option.payoff,
             )
             value = getattr(bs, est.kind)
-            agreement = abs(est.value - value) / est.stderr if est.stderr > 0.0 else 0.0
+            agreement = _agreement(est.value, value, est.stderr)
             rows.append([est.kind, "bs", value, 0.0, value, value, 0, 0, cfg.seed, elapsed_ms(), agreement])
     return _GREEK_COLS, rows
 
@@ -313,7 +318,7 @@ def cmd_converge(cfg: RunConfig) -> tuple:
         raise ConfigError("task.ns_schedule: missing required key")
     ests = converge(
         kinds[0], cfg.model, cfg.market, cfg.option, cfg.grid, cfg.ns_schedule,
-        cfg.seed, cfg.confidence, cfg.workers,
+        cfg.seed, cfg.confidence,
     )
     rows = [[ns, e.value, e.ci_low, e.ci_high] for ns, e in zip(cfg.ns_schedule, ests)]
     return _CONVERGE_COLS, rows
@@ -362,8 +367,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = _checked("--seed", "seed", args.seed)
-        if WORKERS_ENV in os.environ:
-            cfg.workers = _checked(WORKERS_ENV, "workers", os.environ[WORKERS_ENV])
         if args.out:
             _check_out(args.out)
         _check_task_keys(args.command, cfg)

@@ -19,14 +19,16 @@ C the triple D_sG integral; gamma raises UnsupportedError on models
 that do not provide it.
 
 Layout of a run (_per_tile, which the FD oracle shares): the paths are
-drawn in chunks (one gen_increments call each, the chunks optionally on
-worker threads) of at most 8192 paths and max(one tile, 2^22
-path-steps): 8192 paths up to n = 512, one tile from n = 4096 up.  Each
-chunk's vol paths, prices and weights are computed in tiles of 1024
-paths, one after another, so a chunk's peak memory is its draw plus one
-tile.  Each distinct kernel's weights (its dense matrix, or from n = 1536
-its spectrum) are made once per call, and on the FFT grids each tile's
-dZ is transformed once for every kernel applied to it.
+drawn in chunks (one gen_increments call each, one chunk after another)
+of at most 8192 paths and max(one tile, 2^22 path-steps): 8192 paths up
+to n = 512, one tile from n = 4096 up.  Each chunk's vol paths, prices
+and weights are computed in tiles of 1024 paths, one after another, so
+a chunk's peak memory is its draw plus one tile.  Each distinct kernel's
+weights (its dense matrix, or from n = 1536 its spectrum) are made once
+per call, and on the FFT grids each tile's dZ is transformed once for
+every kernel applied to it.  The workers keyword of estimate,
+estimate_many, converge and oracles.fd_greek accepts only 1: the chunk
+pool it sized was removed.
 
 Determinism: path p is row p % 256 of the substream keyed by (seed,
 p // 256) (RNG stream 2), and chunks and tiles start on multiples of 256
@@ -35,7 +37,7 @@ paths.convolve_kernel; the FFT convolution transforms each row on its
 own), so every per-path sample depends on that path's draws alone.
 Samples go into a path-indexed array and all reductions run over it in a
 fixed pairwise order, so estimates are bit-identical for a given (seed,
-config) under any worker count, draw or tile size, and runs with larger
+config) under any draw or tile size, and runs with larger
 n_paths extend smaller ones (for 256 <= n < 1536 up to the rounding of
 the smaller run's last group, when n_paths is not a multiple of 256).
 The CI is value +- z stderr, z the two-sided standard normal quantile
@@ -46,8 +48,6 @@ line; version 1 took z from scipy.stats, which differs in the last bits).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextvars import copy_context
 from dataclasses import dataclass
 from functools import partial
 from statistics import NormalDist
@@ -171,41 +171,33 @@ def _task_samples(kinds, model, market, opt, grid, inc: DriverIncrements):
     return out
 
 
-def _per_tile(n_paths: int, n_steps: int, workers: int, draw, fn) -> dict:
+def _per_tile(n_paths: int, n_steps: int, draw, fn) -> dict:
     """fn(tile) on each _TILE-path tile (the last may be shorter); fn's dicts of per-path arrays joined in path order.
 
     draw(n, start) gives the increments of paths start..start+n-1, once per
-    chunk, the chunks on `workers` threads.  A chunk is the whole tiles
-    that fit in _DRAW_STEPS path-steps of the n_steps grid, at least one
-    and at most _CHUNK paths.  The run is one kernel_cache() block, so
-    each distinct kernel's weights are made once; worker threads see them
-    through a copy of this thread's context.
+    chunk, the chunks one after another on the calling thread.  A chunk is
+    the whole tiles that fit in _DRAW_STEPS path-steps of the n_steps
+    grid, at least one and at most _CHUNK paths.  The run is one
+    kernel_cache() block, so each distinct kernel's weights are made once.
     """
     size = min(_CHUNK, max(_TILE, (_DRAW_STEPS // n_steps) // _TILE * _TILE))  # paths per draw
 
-    def chunk(start):
+    def chunk(start):  # the draw is freed on return, before the next chunk's is made
         inc = draw(min(size, n_paths - start), start)
         return [
             fn(DriverIncrements(dW=inc.dW[rows], dWt=inc.dWt[rows], dZ=inc.dZ[rows], rho=inc.rho))
             for rows in (slice(lo, lo + _TILE) for lo in range(0, inc.dZ.shape[0], _TILE))
         ]
 
-    starts = range(0, n_paths, size)
     with kernel_cache():
-        if workers > 1 and len(starts) > 1:
-            contexts = [copy_context() for _ in starts]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                chunks = list(pool.map(lambda c, s: c.run(chunk, s), contexts, starts))
-        else:
-            chunks = [chunk(s) for s in starts]
-    tiles = [t for c in chunks for t in c]
+        tiles = [t for start in range(0, n_paths, size) for t in chunk(start)]
     return {key: np.concatenate([t[key] for t in tiles]) for key in tiles[0]}
 
 
-def _all_task_samples(kinds, model, market, opt, grid, n_paths, seed, workers):
+def _all_task_samples(kinds, model, market, opt, grid, n_paths, seed):
     """Each kind's (samples, valid mask) over the run; price keeps every path."""
     draw = partial(gen_increments, grid, model.rho, seed)  # draw(n, start)
-    samples = _per_tile(n_paths, grid.n, workers, draw, partial(_task_samples, kinds, model, market, opt, grid))
+    samples = _per_tile(n_paths, grid.n, draw, partial(_task_samples, kinds, model, market, opt, grid))
     every = np.ones(n_paths, dtype=bool)
     return {k: (samples[k], every if k == "price" else samples["valid"]) for k in kinds}
 
@@ -239,8 +231,8 @@ def _validate_run(opt, grid, n_paths, seed, confidence, workers):
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers != 1:  # the keyword stays only for callers that still pass workers=1
+        raise ValueError(f"workers must be 1: the chunk pool was removed and chunks run in order, got {workers}")
 
 
 def estimate_many(
@@ -257,7 +249,7 @@ def estimate_many(
     """Estimate several Greeks on common paths; one simulation pass."""
     kinds = _check_kinds(kinds)
     _validate_run(opt, grid, n_paths, seed, confidence, workers)
-    samples = _all_task_samples(kinds, model, market, opt, grid, n_paths, seed, workers)
+    samples = _all_task_samples(kinds, model, market, opt, grid, n_paths, seed)
     return [_reduce(k, *samples[k], confidence) for k in kinds]
 
 
@@ -298,5 +290,5 @@ def converge(
         raise ValueError("ns_schedule must be strictly increasing with entries >= 2")
     kinds = _check_kinds([kind])
     _validate_run(opt, grid, ns[-1], seed, confidence, workers)
-    x, valid = _all_task_samples(kinds, model, market, opt, grid, ns[-1], seed, workers)[kind]
+    x, valid = _all_task_samples(kinds, model, market, opt, grid, ns[-1], seed)[kind]
     return [_reduce(kind, x[:m], valid[:m], confidence) for m in ns]

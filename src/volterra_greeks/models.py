@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import threading
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -182,7 +181,6 @@ def _exp_factor(v0, xi, alpha, kernel, grid, y):
 
 # the kernel_cache() dict of the current call; unset outside one
 _KERNELS: ContextVar[dict] = ContextVar("volterra_greeks_kernels")
-_KERNELS_LOCK = threading.Lock()  # one build per key when chunks run on several threads
 
 
 @contextlib.contextmanager
@@ -191,9 +189,9 @@ def kernel_cache():
 
     _convolve keys its weights by (builder, KernelSpec, TimeGrid), all
     immutable, and keeps them until the block exits.  The cache lives in
-    a context variable: threads reach it through a copy of the caller's
-    context (greeks._per_tile), and concurrent blocks in other threads
-    keep their own.
+    a context variable, so concurrent blocks in other host threads keep
+    their own.  Only the thread that opened the block reads or writes its
+    dict: the threads of a large draw and of the FFT rows never do.
     """
     token = _KERNELS.set({})
     try:
@@ -211,14 +209,13 @@ def _kernel_weights(build, kernel: KernelSpec, grid: TimeGrid):
     Made once per kernel_cache() block, on every call outside one.
     """
     cache, key = _KERNELS.get({}), (build, kernel, grid)
-    with _KERNELS_LOCK:
-        if key not in cache:
-            by_lag = kernel_by_lag if build is kernel_matrix else kernel_dh_by_lag
-            w = paths.kernel_weights(build, by_lag, kernel, grid)
-            row_int = grid.dt * toeplitz_row_sums(by_lag(kernel, grid.times))
-            w.flags.writeable = row_int.flags.writeable = False  # shared by every tile of the call
-            cache[key] = w, row_int
-        return cache[key]
+    if key not in cache:
+        by_lag = kernel_by_lag if build is kernel_matrix else kernel_dh_by_lag
+        w = paths.kernel_weights(build, by_lag, kernel, grid)
+        row_int = grid.dt * toeplitz_row_sums(by_lag(kernel, grid.times))
+        w.flags.writeable = row_int.flags.writeable = False  # shared by every tile of the call
+        cache[key] = w, row_int
+    return cache[key]
 
 
 def _convolve(build, kernel: KernelSpec, grid: TimeGrid, inc: DriverIncrements):

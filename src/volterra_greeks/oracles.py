@@ -12,10 +12,10 @@ Two oracles, both free of any Malliavin machinery:
     unchanged driver increments.  Several kinds share one pass, which
     prices each distinct bumped setup once.  The pass runs on the
     estimators' tile driver (greeks._per_tile): one draw per chunk of at
-    most 8192 paths and 2^22 path-steps (or one tile), prices per
-    1024-path tile, each kernel's weights made once per call; on FFT
-    grids the bumped kernels K(H + h) and K(H - h) share the tile's one
-    dZ spectrum.
+    most 8192 paths and 2^22 path-steps (or one tile), the chunks in
+    order, prices per 1024-path tile, each kernel's weights made once per
+    call; on FFT grids the bumped kernels K(H + h) and K(H - h) share the
+    tile's one dZ spectrum.
 """
 
 from __future__ import annotations
@@ -188,7 +188,8 @@ def fd_greek(
     difference when r - h would leave the domain.  gamma uses the
     3-point second difference in s0.  bump sets the size for every
     requested kind that bumps its parameter and must match at least one;
-    the other kinds use default_bump.
+    the other kinds use default_bump.  workers accepts only 1: the chunk
+    pool it sized was removed.
     """
     single = isinstance(kinds, str)
     kinds = [kinds] if single else list(kinds)
@@ -222,7 +223,7 @@ def fd_greek(
             del v  # one vol path alive at a time
         return out
 
-    px = _per_tile(n_paths, grid.n, workers, partial(gen_increments, grid, model.rho, seed), prices)
+    px = _per_tile(n_paths, grid.n, partial(gen_increments, grid, model.rho, seed), prices)
     xs = [quotient(*(px[p] for p in pairs)) for pairs, quotient in plans]
     ests = [_reduce(kind, x, np.ones(x.shape, dtype=bool), confidence) for kind, x in zip(kinds, xs)]
     return ests[0] if single else ests

@@ -80,6 +80,8 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.confidence == 0.99 and cfg.workers == 1
     assert cfg.kinds == ("delta",) and cfg.oracles == ("fd", "bs")
     assert cfg.variant is None and cfg.ns_schedule == ()
+    # workers loads only as 1, which changes nothing; any other value is a config error
+    assert load_config(_write(tmp_path, BS_CFG.replace("seed = 7", "seed = 7\nworkers = 1"), "w1.cfg")) == cfg
 
 
 @pytest.mark.parametrize(
@@ -104,6 +106,7 @@ def test_load_config_round_trip(tmp_path):
         (lambda s: s.replace("h = 0.14", "h = 0.14\nsigma = 0.2"), "model.sigma"),
         (lambda s: s + "\n[output]\nformat = csv\n", "output.format"),
         (lambda s: s.replace("seed = 7", "seed = -1"), "numerics.seed"),
+        (lambda s: s.replace("seed = 7", "seed = 7\nworkers = 2"), "numerics.workers: must be 1"),
         pytest.param(lambda s: "[DEFAULT]\nseed = 7\n" + s.replace("seed = 7\n", ""), "DEFAULT.seed: unknown key",
                      id="default-section-DEFAULT.seed"),
         # malformed files: section.key where the parser knows it, else the line
@@ -137,8 +140,10 @@ def test_config_errors_carry_field_path(tmp_path, mangle, field):
         (BS_CFG.replace("s0 = 100", "s0 = inf"), "market.s0"),
         (BS_CFG.replace("k = 100", "k = nan"), "option.k"),
         (BS_CFG.replace("k = 100", "k = inf"), "option.k"),
+        (BS_CFG.replace("seed = 7", "seed = 7\nworkers = 2"), "numerics.workers"),
     ],
-    ids=["duplicate-key", "duplicate-section", "no-section", "no-equals", "xi-nan", "r-nan", "s0-inf", "k-nan", "k-inf"],
+    ids=["duplicate-key", "duplicate-section", "no-section", "no-equals", "xi-nan", "r-nan", "s0-inf", "k-nan", "k-inf",
+         "workers-2"],
 )
 def test_malformed_or_non_finite_config_exits_2(tmp_path, capsys, text, field):
     assert main(["greek", "--config", _write(tmp_path, text)]) == 2
@@ -289,6 +294,47 @@ def test_greek_command_with_oracles(tmp_path):
     assert float(methods[2]["stderr"]) == 0.0
     ref = bs_price_greeks(100.0, 100.0, 1.0, 0.0, 0.2).delta
     assert float(methods[2]["value"]) == pytest.approx(ref, rel=1e-12)
+
+
+DEEP_OTM_DIGITAL_CFG = """\
+[model]
+kind = black_scholes
+sigma = 0.2
+
+[market]
+s0 = 100
+r = 0.05
+
+[option]
+k = 400
+t = 1.0
+payoff = digital_call
+
+[numerics]
+n_steps = 8
+n_paths = 200
+seed = 1
+
+[task]
+kinds = delta, rho
+oracles = fd, bs
+"""
+
+
+def test_agreement_with_zero_stderr(tmp_path):
+    # no path ends above K = 400, so every sample is 0 and each estimate reads 0 +- 0;
+    # the equal fd value agrees (0.0), the nonzero closed form does not (inf)
+    out = str(tmp_path / "otm.csv")
+    assert main(["greek", "--config", _write(tmp_path, DEEP_OTM_DIGITAL_CFG), "--out", out]) == 0
+    _, cols, rows = _read_csv(out)
+    recs = {(r["kind"], r["method"]): r for r in (dict(zip(cols, row)) for row in rows)}
+    assert list(recs) == [(k, m) for k in ("delta", "rho") for m in ("malliavin", "fd", "bs")]
+    for kind in ("delta", "rho"):
+        for method in ("malliavin", "fd"):
+            assert (float(recs[kind, method]["value"]), float(recs[kind, method]["stderr"])) == (0.0, 0.0)
+        assert float(recs[kind, "fd"]["agreement"]) == 0.0
+        assert float(recs[kind, "bs"]["value"]) > 0.0
+        assert float(recs[kind, "bs"]["agreement"]) == math.inf
 
 
 def test_greek_rejects_price_kind(tmp_path, capsys):
@@ -536,25 +582,15 @@ def test_seed_override_changes_values(tmp_path):
 
 
 def test_workers_env_does_not_change_values(tmp_path, monkeypatch):
+    # VOLTERRA_GREEKS_WORKERS is no longer read, whatever it holds
     cfg = _write(tmp_path, BS_CFG.replace("oracles = fd, bs\n", ""))
-    out1 = str(tmp_path / "w1.csv")
+    out1 = str(tmp_path / "unset.csv")
     assert main(["greek", "--config", cfg, "--out", out1]) == 0
-    monkeypatch.setenv("VOLTERRA_GREEKS_WORKERS", "3")
-    out2 = str(tmp_path / "w3.csv")
-    assert main(["greek", "--config", cfg, "--out", out2]) == 0
-    assert _strip_wallclock(out1) == _strip_wallclock(out2)
-    monkeypatch.setenv("VOLTERRA_GREEKS_WORKERS", "many")
-    assert main(["greek", "--config", cfg]) == 2
-
-
-@pytest.mark.parametrize("value", ["0", "-2"])
-def test_workers_env_below_one_exit_2(tmp_path, monkeypatch, capsys, value):
-    # the same rule as numerics.workers, not a silent clamp to 1
-    monkeypatch.setenv("VOLTERRA_GREEKS_WORKERS", value)
-    assert main(["greek", "--config", _write(tmp_path, BS_CFG)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"VOLTERRA_GREEKS_WORKERS: must be >= 1, got {value}" in captured.err
+    for value in ("3", "many"):
+        monkeypatch.setenv("VOLTERRA_GREEKS_WORKERS", value)
+        out2 = str(tmp_path / f"{value}.csv")
+        assert main(["greek", "--config", cfg, "--out", out2]) == 0
+        assert _strip_wallclock(out1) == _strip_wallclock(out2)
 
 
 def test_negative_seed_override_exit_2(tmp_path, capsys):

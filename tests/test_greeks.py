@@ -84,13 +84,14 @@ def test_run_validation():
         estimate_many(["price", "delta"], BS_MODEL, BS_MKT, OPT, GRID, 100, seed=-1)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         converge("delta", BS_MODEL, BS_MKT, OPT, GRID, [10, 100], seed=-1)
-    # the CLI rejects a worker count below 1; the library used to run it anyway
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        estimate("delta", BS_MODEL, BS_MKT, OPT, GRID, 100, seed=0, workers=0)
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        estimate_many(["price", "delta"], BS_MODEL, BS_MKT, OPT, GRID, 100, seed=0, workers=-3)
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        converge("delta", BS_MODEL, BS_MKT, OPT, GRID, [10, 100], seed=0, workers=0)
+    # workers loads only as 1: a second worker is refused, not silently run serially
+    removed = "workers must be 1: the chunk pool was removed"
+    with pytest.raises(ValueError, match=removed):
+        estimate("delta", BS_MODEL, BS_MKT, OPT, GRID, 100, seed=0, workers=2)
+    with pytest.raises(ValueError, match=removed):
+        estimate_many(["price", "delta"], BS_MODEL, BS_MKT, OPT, GRID, 100, seed=0, workers=2)
+    with pytest.raises(ValueError, match=removed):
+        converge("delta", BS_MODEL, BS_MKT, OPT, GRID, [10, 100], seed=0, workers=2)
 
 
 def test_estimate_interval_shape():
@@ -170,12 +171,6 @@ def test_deterministic_and_shared_paths():
     assert c.value != a.value
 
 
-def test_workers_do_not_change_results():
-    a = estimate("delta", FIG_MODEL, FIG_MKT, OPT, GRID, 20_000, seed=13, workers=1)
-    b = estimate("delta", FIG_MODEL, FIG_MKT, OPT, GRID, 20_000, seed=13, workers=3)
-    assert a == b
-
-
 def test_converge_nested_and_consistent():
     trace = converge("delta", FIG_MODEL, FIG_MKT, OPT, GRID, [2_000, 8_000], seed=19)
     assert [e.n_paths for e in trace] == [2_000, 8_000]
@@ -222,17 +217,15 @@ def test_discarded_paths_are_the_same_for_every_weighted_kind(monkeypatch):
     monkeypatch.setattr(greeks, "_TILE", 256)
     n_paths = 512 + 356  # two chunks, the second ending in a 100-path tile
     grid, kinds = TimeGrid(T=1.0, n=16), ["price", "delta", "hsens"]
-    runs = [estimate_many(kinds, FIG_MODEL, FIG_MKT, OPT, grid, n_paths, seed=3, workers=w) for w in (1, 3)]
-    assert runs[0] == runs[1]
+    price, delta, hsens = estimate_many(kinds, FIG_MODEL, FIG_MKT, OPT, grid, n_paths, seed=3)
     inc = gen_increments(grid, FIG_MODEL.rho, seed=3, n_paths=n_paths)
     kept = np.abs(weight_components(FIG_MODEL, grid, make_bundle(FIG_MODEL, FIG_MKT, grid, inc)).intG) >= threshold
     dropped = n_paths - int(np.count_nonzero(kept))
     assert 0 < dropped < n_paths // 2
-    price, delta, hsens = runs[0]
     assert (price.n_paths, price.n_discarded) == (n_paths, 0)
     for est in (delta, hsens):
         assert (est.n_paths, est.n_discarded) == (n_paths - dropped, dropped)
-    samples = greeks._all_task_samples(kinds, FIG_MODEL, FIG_MKT, OPT, grid, n_paths, 3, 1)
+    samples = greeks._all_task_samples(kinds, FIG_MODEL, FIG_MKT, OPT, grid, n_paths, 3)
     assert samples["price"][1].all()
     assert np.array_equal(samples["delta"][1], kept) and np.array_equal(samples["hsens"][1], kept)
 

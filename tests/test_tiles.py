@@ -7,7 +7,9 @@ every per-path array of the chunk.
 """
 
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -172,7 +174,9 @@ def test_kernel_cache_builds_each_matrix_once_per_block(monkeypatch):
     assert models._KERNELS.get(None) is None
 
 
-def test_worker_threads_build_each_matrix_once(monkeypatch):
+def test_chunks_share_one_matrix_build_per_call(monkeypatch):
+    model, grid, kinds, n_paths = MODELS["alpharfsv"], TimeGrid(T=1.0, n=64), ["delta", "hsens"], 16 * 256
+    one_chunk = estimate_many(kinds, model, MARKET, OPTION, grid, n_paths, seed=41)
     builds = []
 
     def counting(spec, times):
@@ -180,16 +184,46 @@ def test_worker_threads_build_each_matrix_once(monkeypatch):
         return kernel_matrix(spec, times)
 
     monkeypatch.setattr(models, "kernel_matrix", counting)
-    monkeypatch.setattr(greeks, "_CHUNK", 256)  # 16 chunks for 8 threads on the shared cache
-    model, grid = MODELS["alpharfsv"], TimeGrid(T=1.0, n=64)
+    monkeypatch.setattr(greeks, "_CHUNK", 256)  # 16 chunks, one after another, on the call's one cache
+    assert estimate_many(kinds, model, MARKET, OPTION, grid, n_paths, seed=41) == one_chunk
+    assert builds == [model.kernel]
+
+
+def test_concurrent_host_threads_keep_their_own_kernel_cache(monkeypatch):
+    # two host threads in their own kernel_cache() blocks at once: an FFT grid
+    # (whose draw and transforms start threads of their own) and a dense one
+    builds, weights = [], paths.kernel_weights
+
+    def counting(build, by_lag, spec, grid):
+        builds.append((grid.n, build.__name__))
+        return weights(build, by_lag, spec, grid)
+
+    monkeypatch.setattr(paths, "kernel_weights", counting)
+    model, kinds = MODELS["alpharfsv"], ["delta", "hsens"]
+    runs = {
+        "fft": (TimeGrid(T=1.0, n=paths._FFT_STEPS), 2048),  # one draw, two tiles
+        "dense": (TimeGrid(T=1.0, n=64), 2 * greeks._CHUNK),
+    }
+    serial = {name: estimate_many(kinds, model, MARKET, OPTION, grid, n, seed=43) for name, (grid, n) in runs.items()}
+    serial_builds = sorted(builds)
+    assert len(serial_builds) == 4  # K and dK/dH once per call
+    builds.clear()
+    start = threading.Barrier(len(runs))
+
+    def run(grid, n):
+        start.wait(timeout=60)
+        return estimate_many(kinds, model, MARKET, OPTION, grid, n, seed=43)
+
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+    sys.setswitchinterval(1e-6)  # interleave the two calls finely
     try:
-        threaded = estimate_many(["delta", "hsens"], model, MARKET, OPTION, grid, 16 * 256, seed=41, workers=8)
+        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+            futures = {name: pool.submit(run, *args) for name, args in runs.items()}
+            concurrent = {name: f.result(timeout=300) for name, f in futures.items()}
     finally:
         sys.setswitchinterval(interval)
-    assert builds == [model.kernel]
-    assert threaded == estimate_many(["delta", "hsens"], model, MARKET, OPTION, grid, 16 * 256, seed=41)
+    assert concurrent == serial
+    assert sorted(builds) == serial_builds  # neither call lost its cache to the other
 
 
 # peak memory, in units of one (_CHUNK x 1024) float64 array: at n = 1024 a
