@@ -22,11 +22,16 @@ Layout of a run (_per_tile, which the FD oracle shares): the paths are
 drawn in chunks (one gen_increments call each, one chunk after another)
 of at most 8192 paths and max(one tile, 2^22 path-steps): 8192 paths up
 to n = 512, one tile from n = 4096 up.  Each chunk's vol paths, prices
-and weights are computed in tiles of 1024 paths, one after another, so
-a chunk's peak memory is its draw plus one tile.  Each distinct kernel's
-weights (its dense matrix, or from n = 1536 its spectrum) are made once
-per call, and on the FFT grids each tile's dZ is transformed once for
-every kernel applied to it.  The workers keyword of estimate,
+and weights are computed in tiles of 1024 paths, one after another on
+the calling thread, so a chunk's peak memory is its draw plus one tile.
+The draw queues one fill per 256-path block on a pool of one thread per
+CPU that lives for the run (paths.run_threads) and returns; each tile
+starts as soon as its four blocks are filled, so the pool fills the
+next blocks while the calling thread works.  The FFT rows run on the
+same pool, and the run holds OpenBLAS to one thread.  Each distinct
+kernel's weights (its dense matrix, or from n = 1536 its spectrum) are
+made once per call, and on the FFT grids each tile's dZ is transformed
+once for every kernel applied to it.  The workers keyword of estimate,
 estimate_many, converge and oracles.fd_greek accepts only 1: the chunk
 pool it sized was removed.
 
@@ -34,7 +39,9 @@ Determinism: path p is row p % 256 of the substream keyed by (seed,
 p // 256) (RNG stream 2), and chunks and tiles start on multiples of 256
 paths, where the convolution groups its BLAS products (see
 paths.convolve_kernel; the FFT convolution transforms each row on its
-own), so every per-path sample depends on that path's draws alone.
+own), so every per-path sample depends on that path's draws alone, and
+not on the BLAS thread count (which may round only the dense product's
+last column Y_n, a column no weight reads).
 Samples go into a path-indexed array and all reductions run over it in a
 fixed pairwise order, so estimates are bit-identical for a given (seed,
 config) under any draw or tile size, and runs with larger
@@ -56,7 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import MarketSpec, ModelSpec, kernel_cache, make_bundle
-from .paths import DriverIncrements, TimeGrid, gen_increments
+from .paths import DriverIncrements, TimeGrid, gen_increments, run_threads
 from .weights import (
     DEGENERATE_INTG,
     assemble_delta_weight,
@@ -178,19 +185,23 @@ def _per_tile(n_paths: int, n_steps: int, draw, fn) -> dict:
     chunk, the chunks one after another on the calling thread.  A chunk is
     the whole tiles that fit in _DRAW_STEPS path-steps of the n_steps
     grid, at least one and at most _CHUNK paths.  The run is one
-    kernel_cache() block, so each distinct kernel's weights are made once.
+    kernel_cache() block and one paths.run_threads() block: each distinct
+    kernel's weights are made once, the draw queues its block fills on the
+    run's pool, and each tile goes to fn, on the calling thread, as soon
+    as its blocks are filled.
     """
     size = min(_CHUNK, max(_TILE, (_DRAW_STEPS // n_steps) // _TILE * _TILE))  # paths per draw
 
-    def chunk(start):  # the draw is freed on return, before the next chunk's is made
-        inc = draw(min(size, n_paths - start), start)
-        return [
-            fn(DriverIncrements(dW=inc.dW[rows], dWt=inc.dWt[rows], dZ=inc.dZ[rows], rho=inc.rho))
-            for rows in (slice(lo, lo + _TILE) for lo in range(0, inc.dZ.shape[0], _TILE))
-        ]
+    def chunk(start, run):  # the draw is freed on return, before the next chunk's is made
+        inc, tiles = draw(min(size, n_paths - start), start), []
+        for lo in range(0, inc.dZ.shape[0], _TILE):
+            run.wait(lo + _TILE)
+            rows = slice(lo, lo + _TILE)
+            tiles.append(fn(DriverIncrements(dW=inc.dW[rows], dWt=inc.dWt[rows], dZ=inc.dZ[rows], rho=inc.rho)))
+        return tiles
 
-    with kernel_cache():
-        tiles = [t for start in range(0, n_paths, size) for t in chunk(start)]
+    with kernel_cache(), run_threads() as run:
+        tiles = [t for start in range(0, n_paths, size) for t in chunk(start, run)]
     return {key: np.concatenate([t[key] for t in tiles]) for key in tiles[0]}
 
 

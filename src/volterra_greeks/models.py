@@ -191,7 +191,7 @@ def kernel_cache():
     immutable, and keeps them until the block exits.  The cache lives in
     a context variable, so concurrent blocks in other host threads keep
     their own.  Only the thread that opened the block reads or writes its
-    dict: the threads of a large draw and of the FFT rows never do.
+    dict: the threads that fill draws and transform FFT rows never do.
     """
     token = _KERNELS.set({})
     try:

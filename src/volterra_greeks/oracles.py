@@ -13,9 +13,10 @@ Two oracles, both free of any Malliavin machinery:
     prices each distinct bumped setup once.  The pass runs on the
     estimators' tile driver (greeks._per_tile): one draw per chunk of at
     most 8192 paths and 2^22 path-steps (or one tile), the chunks in
-    order, prices per 1024-path tile, each kernel's weights made once per
-    call; on FFT grids the bumped kernels K(H + h) and K(H - h) share the
-    tile's one dZ spectrum.
+    order, prices per 1024-path tile as soon as its blocks are filled on
+    the run's pool, each kernel's weights made once per call; on FFT
+    grids the bumped kernels K(H + h) and K(H - h) share the tile's one
+    dZ spectrum.
 """
 
 from __future__ import annotations

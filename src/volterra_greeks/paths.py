@@ -5,12 +5,14 @@ step dt, dW, dWt ~ N(0, dt) i.i.d. from block-keyed substreams (RNG stream
 2): path p is row p % 256 of a generator keyed by (seed, p // 256), so it
 depends only on (seed, path index), never on batching or worker schedule,
 and larger runs extend smaller ones.  dZ = rho dW + sqrt(1 - rho^2) dWt.
-A call drawing at least 2^20 path-steps fills its blocks on one thread
-per available CPU; each block is drawn, scaled and mixed by one task
-into its own rows, so the values do not depend on the thread count.
-The estimators draw at most 8192 paths and max(1024 paths, 2^22
-path-steps) per call (greeks._per_tile), so a full draw is threaded on
-every grid with n >= 128 and holds about 100 MB up to n = 4096.
+Each block is drawn, scaled and mixed by one task into its own rows, so
+the values do not depend on which thread runs it.  Inside a run
+(run_threads, opened by greeks._per_tile around an estimator or FD
+pass), a draw queues its blocks on the run's pool and returns at once;
+a row is read only after _Run.wait has seen its block filled, so the
+calling thread works on one tile while the pool fills the next.  The
+estimators draw at most 8192 paths and max(1024 paths, 2^22 path-steps)
+per call, about 100 MB up to n = 4096.
 
 The Volterra path uses the left-point rule
 
@@ -32,15 +34,29 @@ to it shares that spectrum.  FFT rows are computed independently, so a
 path's Y never depends on the other paths of the call.  This arithmetic
 is convolution version 2 (CONVOLUTION, in the CLI schema line); version
 1 used the dense product on every grid.
+
+A run holds numpy's bundled OpenBLAS to one thread (_BlasPin): an idle
+BLAS worker spinning after each product slows the fills that share the
+cores with it.  The dense product's last column Y_n may round
+differently with the BLAS thread count from n = 256; no estimator reads
+Y_n, and every other entry is the same.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
+import logging
 import math
 import os
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
+from typing import Optional
 
 import numpy as np
 
@@ -60,7 +76,10 @@ _BLOCK = 256  # paths per substream and per convolution product; divides greeks.
 _ROW_BLOCK = 512  # grids with n above this convolve in row blocks; smaller ones in one product
 _FFT_STEPS = 1536  # grids with at least this many steps convolve by real FFT; GEMM wins below
 _FFT_GROUP = 128  # paths per inverse transform on each thread; keeps the scratch arrays near 8 MB
-_PARALLEL_STEPS = 1 << 20  # draws of at least this many path-steps fill their blocks on threads
+_PARALLEL_STEPS = 1 << 20  # draws of at least this many path-steps fill their blocks on threads outside a run
+# numpy's bundled OpenBLAS, next to the numpy package, and its thread-count symbols
+_OPENBLAS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "libscipy_openblas64_-*.so")
+_OPENBLAS_GET, _OPENBLAS_SET = "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"
 
 __all__ = [
     "RNG_STREAM",
@@ -153,17 +172,128 @@ def _cpu_count() -> int:
 
 
 def _on_threads(task, rows: int) -> None:
-    """task(lo, hi) on one contiguous share of rows 0..rows per CPU, on a per-call pool.
+    """task(lo, hi) on one contiguous share of rows 0..rows per CPU.
 
-    The FFT rows are transformed one by one (numpy releases the GIL), so
-    the values do not depend on the split.
+    Inside a run the calling thread takes the first share and the run's
+    pool the others; outside one, a per-call pool takes them all.  The
+    FFT rows are transformed one by one (numpy releases the GIL), so the
+    values do not depend on the split.
     """
     k = min(_cpu_count(), rows)
     if k <= 1:
         task(0, rows)
         return
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        list(pool.map(lambda i: task(i * rows // k, (i + 1) * rows // k), range(k)))  # a failed task raises here
+    share = [(i * rows // k, (i + 1) * rows // k) for i in range(k)]
+    run = _RUN.get(None)
+    if run is None:
+        with ThreadPoolExecutor(max_workers=k) as pool:
+            list(pool.map(lambda s: task(*s), share))  # a failed task raises here
+        return
+    futures = [run.pool.submit(task, *s) for s in share[1:]]
+    task(*share[0])
+    for f in futures:
+        f.result()
+
+
+class _Run:
+    """One run's thread pool, and the block fills its latest draw queued there."""
+
+    def __init__(self, pool: Optional[ThreadPoolExecutor]):
+        self.pool = pool  # None with one CPU: the draws are filled before they return
+        self.queued = deque()  # (first row of a block in the draw, the block's fill), in row order
+
+    def wait(self, stop: int) -> None:
+        """Return once rows 0..stop-1 of the latest draw are filled; a failed fill raises here."""
+        while self.queued and self.queued[0][0] < stop:
+            self.queued.popleft()[1].result()
+
+
+# the _Run of the current run_threads() block; unset outside one
+_RUN: ContextVar[_Run] = ContextVar("volterra_greeks_run")
+
+
+@cache
+def _openblas():
+    """(get, set) of numpy's bundled OpenBLAS thread count; None, with one warning, where they are not found."""
+    try:
+        lib = ctypes.CDLL(glob.glob(_OPENBLAS)[0])
+        get, put = getattr(lib, _OPENBLAS_GET), getattr(lib, _OPENBLAS_SET)
+    except (IndexError, OSError, AttributeError):
+        logging.getLogger("volterra_greeks").warning(
+            "numpy's OpenBLAS thread count was not found (%s); runs leave BLAS threading as it is", _OPENBLAS
+        )
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+class _BlasPin:
+    """Holds OpenBLAS to one thread while any run is open in the process.
+
+    The thread count is process-wide, so a lock and a depth count keep
+    nested and concurrent runs apart: the first run in saves the count
+    and sets 1, the last one out restores it.  Both happen on the thread
+    that opens or closes the run.
+    """
+
+    def __init__(self):
+        self.lock, self.depth, self.saved = threading.Lock(), 0, None
+
+    def __enter__(self):
+        with self.lock:
+            blas = _openblas()
+            if blas and self.depth == 0:
+                self.saved = blas[0]()
+                blas[1](1)
+            self.depth += 1
+
+    def __exit__(self, *exc):
+        with self.lock:
+            self.depth -= 1
+            blas = _openblas()
+            if blas and self.depth == 0:
+                blas[1](self.saved)
+
+
+_ONE_BLAS_THREAD = _BlasPin()
+
+
+@contextlib.contextmanager
+def run_threads():
+    """One run's threads: yields the _Run whose pool fills draws and FFT rows; OpenBLAS on one thread.
+
+    The pool has one thread per CPU and lives until the block exits; on
+    exit, fills not yet started are cancelled and the pool's threads are
+    joined, so none outlives the run.  Only the calling thread reads the
+    draws, and only after _Run.wait.  With one CPU there is no pool: the
+    draws are filled before they return, as outside a run.
+    """
+    cpus = _cpu_count()
+    with _ONE_BLAS_THREAD:
+        if cpus <= 1:
+            yield _Run(None)
+            return
+        pool = ThreadPoolExecutor(max_workers=cpus)
+        run = _Run(pool)
+        token = _RUN.set(run)
+        try:
+            yield run
+        finally:
+            _RUN.reset(token)
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _fill_block(seed, b, start, z, dz, scale, rho):
+    """Block b's rows of paths start.. into z (paths, 2, n) and dz: drawn, scaled by scale, mixed into dZ."""
+    lo, hi = max(start, b * _BLOCK), min(start + len(z), (b + 1) * _BLOCK)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
+    rng.standard_normal((lo - b * _BLOCK,) + z.shape[1:])  # discard the block's rows before start
+    zb, dzb = z[lo - start : hi - start], dz[lo - start : hi - start]
+    rng.standard_normal(out=zb)
+    zb *= scale
+    np.multiply(zb[:, 0], rho, out=dzb)
+    dzb += math.sqrt(1.0 - rho * rho) * zb[:, 1]
 
 
 def gen_increments(
@@ -173,36 +303,27 @@ def gen_increments(
 
     Path p is row p % 256 of the draws of the generator keyed by (seed,
     p // 256), so results for a given path do not depend on batching,
-    worker count or the total number of paths requested.  Each block's
-    rows are drawn, scaled by sqrt(dt) and mixed into dZ by one task; a
-    call of at least 2^20 path-steps runs those tasks on a per-call pool
-    of min(CPUs, blocks) threads (the fills release the GIL), with the
-    same values as the serial loop.
+    thread count or the total number of paths requested.  Each block's
+    rows are drawn, scaled by sqrt(dt) and mixed into dZ by one task
+    (_fill_block; the fills release the GIL).  Outside a run the arrays
+    are complete on return, the tasks of a call of at least 2^20
+    path-steps split between CPUs.  Inside a run_threads() block with a
+    pool, the tasks are queued there and the arrays are filled after the
+    return: the caller reads rows only after _Run.wait.
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    stop = start + n_paths
     z = np.empty((n_paths, 2, grid.n))
     dz = np.empty((n_paths, grid.n))
-    scale, mix = math.sqrt(grid.dt), math.sqrt(1.0 - rho * rho)
-
-    def fill(b):
-        lo, hi = max(start, b * _BLOCK), min(stop, (b + 1) * _BLOCK)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
-        rng.standard_normal((lo - b * _BLOCK, 2, grid.n))  # discard the block's rows before start
-        zb, dzb = z[lo - start : hi - start], dz[lo - start : hi - start]
-        rng.standard_normal(out=zb)
-        zb *= scale
-        np.multiply(zb[:, 0], rho, out=dzb)
-        dzb += mix * zb[:, 1]
-
-    blocks = range(start // _BLOCK, (stop - 1) // _BLOCK + 1)
-    threads = min(_cpu_count(), len(blocks)) if n_paths * grid.n >= _PARALLEL_STEPS else 1
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, blocks))  # reads every result, so a failed fill raises here
+    blocks = range(start // _BLOCK, (start + n_paths - 1) // _BLOCK + 1)
+    fill = partial(_fill_block, seed, start=start, z=z, dz=dz, scale=math.sqrt(grid.dt), rho=rho)
+    run = _RUN.get(None)
+    if run is not None:
+        run.queued = deque((max(start, b * _BLOCK) - start, run.pool.submit(fill, b)) for b in blocks)
+    elif n_paths * grid.n >= _PARALLEL_STEPS:
+        _on_threads(lambda lo, hi: [fill(b) for b in blocks[lo:hi]], len(blocks))
     else:
         for b in blocks:
             fill(b)
