@@ -18,25 +18,29 @@ T/intG - W_T iintDsG / intG^2 + C / intG^2 - 2 iintDsG^2 / intG^3 with
 C the triple D_sG integral; gamma raises UnsupportedError on models
 that do not provide it.
 
-Layout of a run (_per_tile, which the FD oracle shares): the paths are
-drawn in chunks (one gen_increments call each, one chunk after another)
-of at most 8192 paths and max(one tile, 2^22 path-steps): 8192 paths up
-to n = 512, one tile from n = 4096 up.  Each chunk's vol paths, prices
-and weights are computed in tiles of 1024 paths, one after another on
-the calling thread, so a chunk's peak memory is its draw plus one tile.
-The draw queues one fill per 256-path block on a pool of one thread per
-CPU that lives for the run (paths.run_threads) and returns; each tile
-starts as soon as its four blocks are filled, so the pool fills the
-next blocks while the calling thread works.  The FFT rows run on the
-same pool, and the run holds OpenBLAS to one thread.  Each distinct
-kernel's weights (its dense matrix, or from n = 1536 its spectrum) are
-made once per call, and on the FFT grids each tile's dZ is transformed
-once for every kernel applied to it.  The workers keyword of estimate,
-estimate_many, converge and oracles.fd_greek accepts only 1: the chunk
-pool it sized was removed.
+Layout of a run (_per_tile, which the FD oracle shares): the draws alive
+at once hold at most the cap, 8192 paths and max(one tile, 2^22
+path-steps).  Each draw (one gen_increments call) is the whole tiles in
+half the cap, at least one tile, and the run keeps as many draws alive
+as the cap holds: two of 4096 paths up to n = 512, three of 1024 at
+n = 1100, two of 1024 at n = 2048, and from n = 4096 one draw of one
+tile.  Each draw's vol paths, prices and weights are computed in tiles
+of 1024 paths, one after another on the calling thread, so a run's peak
+memory is its live draws plus one tile.  A draw queues one fill per
+256-path block on a pool of one thread per CPU that lives for the run
+(paths.run_threads) and returns; each tile starts as soon as its four
+blocks are filled, and the next draw is queued before the calling
+thread reaches it, so the pool fills it while the calling thread works.
+The FFT rows run in shares that the calling thread and the pool take
+from one counter, and the run holds OpenBLAS to one thread.  Each
+distinct kernel's weights (its dense matrix, or from n = 1536 its
+spectrum) are made once per call, and on the FFT grids each tile's dZ is
+transformed once for every kernel applied to it.  The workers keyword
+of estimate, estimate_many, converge and oracles.fd_greek accepts only
+1: the chunk pool it sized was removed.
 
 Determinism: path p is row p % 256 of the substream keyed by (seed,
-p // 256) (RNG stream 2), and chunks and tiles start on multiples of 256
+p // 256) (RNG stream 2), and draws and tiles start on multiples of 256
 paths, where the convolution groups its BLAS products (see
 paths.convolve_kernel; the FFT convolution transforms each row on its
 own), so every per-path sample depends on that path's draws alone, and
@@ -55,6 +59,7 @@ line; version 1 took z from scipy.stats, which differs in the last bits).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from statistics import NormalDist
@@ -85,9 +90,9 @@ __all__ = [
 ]
 
 GREEK_KINDS = ("price", "delta", "gamma", "rho", "vega", "hsens")
-_CHUNK = 8192  # most paths per draw (gen_increments call)
+_CHUNK = 8192  # most paths alive in the draws of a run at once
 _TILE = 1024  # paths per vol path, pricing and weight pass; four RNG blocks, divides _CHUNK
-_DRAW_STEPS = 1 << 22  # a draw holds at most this many path-steps, or one tile
+_DRAW_STEPS = 1 << 22  # the draws alive at once hold at most this many path-steps, or one tile
 NORMAL = 2  # version of the normal quantile and cdf (1 was scipy.stats), in the CLI schema line
 
 
@@ -181,27 +186,37 @@ def _task_samples(kinds, model, market, opt, grid, inc: DriverIncrements):
 def _per_tile(n_paths: int, n_steps: int, draw, fn) -> dict:
     """fn(tile) on each _TILE-path tile (the last may be shorter); fn's dicts of per-path arrays joined in path order.
 
-    draw(n, start) gives the increments of paths start..start+n-1, once per
-    chunk, the chunks one after another on the calling thread.  A chunk is
-    the whole tiles that fit in _DRAW_STEPS path-steps of the n_steps
-    grid, at least one and at most _CHUNK paths.  The run is one
+    draw(n, start) gives the increments of paths start..start+n-1.  The
+    cap is the whole tiles that fit in _DRAW_STEPS path-steps of the
+    n_steps grid, at least one and at most _CHUNK paths; each draw is the
+    whole tiles in half the cap (at least one tile, at most the cap), and
+    as many draws as the cap holds are alive at once.  So the pool fills
+    draw k + 1 while the calling thread works through draw k, and draw
+    k + ahead is made as soon as draw k is freed; a cap of one tile (from
+    n = 4096) leaves one draw alive and no lookahead.  The run is one
     kernel_cache() block and one paths.run_threads() block: each distinct
-    kernel's weights are made once, the draw queues its block fills on the
-    run's pool, and each tile goes to fn, on the calling thread, as soon
-    as its blocks are filled.
+    kernel's weights are made once, the draws queue their block fills on
+    the run's pool, and each tile goes to fn, on the calling thread, as
+    soon as its blocks are filled.
     """
-    size = min(_CHUNK, max(_TILE, (_DRAW_STEPS // n_steps) // _TILE * _TILE))  # paths per draw
+    cap = min(_CHUNK, max(_TILE, (_DRAW_STEPS // n_steps) // _TILE * _TILE))  # most paths alive at once
+    size = min(cap, max(_TILE, cap // 2 // _TILE * _TILE))  # paths per draw
+    ahead, starts, tiles = cap // size, range(0, n_paths, size), []
 
-    def chunk(start, run):  # the draw is freed on return, before the next chunk's is made
-        inc, tiles = draw(min(size, n_paths - start), start), []
-        for lo in range(0, inc.dZ.shape[0], _TILE):
-            run.wait(lo + _TILE)
-            rows = slice(lo, lo + _TILE)
-            tiles.append(fn(DriverIncrements(dW=inc.dW[rows], dWt=inc.dWt[rows], dZ=inc.dZ[rows], rho=inc.rho)))
-        return tiles
+    def drawn(j):  # the j-th draw, its fills queued on the run's pool
+        return draw(min(size, n_paths - starts[j]), starts[j])
 
     with kernel_cache(), run_threads() as run:
-        tiles = [t for start in range(0, n_paths, size) for t in chunk(start, run)]
+        alive = deque(drawn(j) for j in range(min(ahead, len(starts))))
+        for k, start in enumerate(starts):
+            inc = alive.popleft()
+            for lo in range(0, len(inc.dZ), _TILE):
+                rows = slice(lo, min(lo + _TILE, len(inc.dZ)))
+                run.wait(start + rows.stop)
+                tiles.append(fn(DriverIncrements(dW=inc.dW[rows], dWt=inc.dWt[rows], dZ=inc.dZ[rows], rho=inc.rho)))
+            del inc  # draw k is freed before draw k + ahead is made
+            if k + ahead < len(starts):
+                alive.append(drawn(k + ahead))
     return {key: np.concatenate([t[key] for t in tiles]) for key in tiles[0]}
 
 

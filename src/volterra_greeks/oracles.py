@@ -11,12 +11,12 @@ Two oracles, both free of any Malliavin machinery:
     bump-and-reprice Greek.  An H bump rebuilds the kernel against the
     unchanged driver increments.  Several kinds share one pass, which
     prices each distinct bumped setup once.  The pass runs on the
-    estimators' tile driver (greeks._per_tile): one draw per chunk of at
-    most 8192 paths and 2^22 path-steps (or one tile), the chunks in
-    order, prices per 1024-path tile as soon as its blocks are filled on
-    the run's pool, each kernel's weights made once per call; on FFT
-    grids the bumped kernels K(H + h) and K(H - h) share the tile's one
-    dZ spectrum.
+    estimators' tile driver (greeks._per_tile): draws of half the cap
+    (8192 paths and 2^22 path-steps, or one tile), the next queued on the
+    run's pool while the current one is priced, prices per 1024-path tile
+    as soon as its blocks are filled, each kernel's weights made once per
+    call; on FFT grids the bumped kernels K(H + h) and K(H - h) share the
+    tile's one dZ spectrum.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ def fd_greek(
 
     kinds is one kind, which returns one GreekEstimate, or a sequence of
     kinds, which returns a list of estimates in the same order from one
-    pass over the paths: per chunk the increments are drawn once; per
-    tile of the chunk one vol path is built per distinct bumped model (s0
+    pass over the paths: the increments are drawn once; per tile of
+    each draw one vol path is built per distinct bumped model (s0
     and r bumps share the unbumped one) and each distinct (model, market)
     setup is priced once.  Every setup reuses the same draws (common
     random numbers), and each kind's difference quotient is formed once

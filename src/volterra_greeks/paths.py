@@ -9,10 +9,12 @@ Each block is drawn, scaled and mixed by one task into its own rows, so
 the values do not depend on which thread runs it.  Inside a run
 (run_threads, opened by greeks._per_tile around an estimator or FD
 pass), a draw queues its blocks on the run's pool and returns at once;
-a row is read only after _Run.wait has seen its block filled, so the
-calling thread works on one tile while the pool fills the next.  The
-estimators draw at most 8192 paths and max(1024 paths, 2^22 path-steps)
-per call, about 100 MB up to n = 4096.
+the run tracks every queued block by its first path row, and a row is
+read only after _Run.wait has seen its block filled, so the calling
+thread works on one tile while the pool fills the next ones, of this
+draw and of the draws queued ahead of it.  The estimators' live draws
+hold at most 8192 paths and max(1024 paths, 2^22 path-steps) at once,
+about 100 MB up to n = 4096.
 
 The Volterra path uses the left-point rule
 
@@ -76,6 +78,7 @@ _BLOCK = 256  # paths per substream and per convolution product; divides greeks.
 _ROW_BLOCK = 512  # grids with n above this convolve in row blocks; smaller ones in one product
 _FFT_STEPS = 1536  # grids with at least this many steps convolve by real FFT; GEMM wins below
 _FFT_GROUP = 128  # paths per inverse transform on each thread; keeps the scratch arrays near 8 MB
+_SHARES_PER_CPU = 4  # inside a run, _on_threads cuts its rows into this many shares per CPU
 _PARALLEL_STEPS = 1 << 20  # draws of at least this many path-steps fill their blocks on threads outside a run
 # numpy's bundled OpenBLAS, next to the numpy package, and its thread-count symbols
 _OPENBLAS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "libscipy_openblas64_-*.so")
@@ -172,38 +175,56 @@ def _cpu_count() -> int:
 
 
 def _on_threads(task, rows: int) -> None:
-    """task(lo, hi) on one contiguous share of rows 0..rows per CPU.
+    """task(lo, hi) on contiguous shares of rows 0..rows, on up to one thread per CPU.
 
-    Inside a run the calling thread takes the first share and the run's
-    pool the others; outside one, a per-call pool takes them all.  The
-    FFT rows are transformed one by one (numpy releases the GIL), so the
-    values do not depend on the split.
+    Outside a run a per-call pool takes one share per CPU.  Inside one the
+    rows are cut into _SHARES_PER_CPU shares per CPU, which the calling
+    thread and up to one pool helper per other CPU take from one shared
+    counter.  A helper the pool has not started by the time the calling
+    thread runs out of shares (it may be queued behind block fills) is
+    cancelled, so the calling thread waits only on shares already under
+    way.  The FFT rows are transformed one by one (numpy releases the
+    GIL), so the values do not depend on the split.
     """
     k = min(_cpu_count(), rows)
     if k <= 1:
         task(0, rows)
         return
-    share = [(i * rows // k, (i + 1) * rows // k) for i in range(k)]
     run = _RUN.get(None)
     if run is None:
+        share = [(i * rows // k, (i + 1) * rows // k) for i in range(k)]
         with ThreadPoolExecutor(max_workers=k) as pool:
             list(pool.map(lambda s: task(*s), share))  # a failed task raises here
         return
-    futures = [run.pool.submit(task, *s) for s in share[1:]]
-    task(*share[0])
-    for f in futures:
-        f.result()
+    m = min(rows, _SHARES_PER_CPU * k)
+    shares, lock = iter([(i * rows // m, (i + 1) * rows // m) for i in range(m)]), threading.Lock()
+
+    def take():  # shares from the counter until none is left
+        while True:
+            with lock:
+                share = next(shares, None)
+            if share is None:
+                return
+            task(*share)
+
+    helpers = [run.pool.submit(take) for _ in range(k - 1)]
+    try:
+        take()
+    finally:  # a helper not started yet takes no share
+        started = [f for f in helpers if not f.cancel()]
+    for f in started:
+        f.result()  # a failed share raises here
 
 
 class _Run:
-    """One run's thread pool, and the block fills its latest draw queued there."""
+    """One run's thread pool, and the block fills its draws queued there, by path row."""
 
     def __init__(self, pool: Optional[ThreadPoolExecutor]):
         self.pool = pool  # None with one CPU: the draws are filled before they return
-        self.queued = deque()  # (first row of a block in the draw, the block's fill), in row order
+        self.queued = deque()  # (a block's first path row in the run, the block's fill), in row order
 
     def wait(self, stop: int) -> None:
-        """Return once rows 0..stop-1 of the latest draw are filled; a failed fill raises here."""
+        """Return once rows 0..stop-1 of the run are filled, over every draw queued; a failed fill raises here."""
         while self.queued and self.queued[0][0] < stop:
             self.queued.popleft()[1].result()
 
@@ -308,8 +329,10 @@ def gen_increments(
     (_fill_block; the fills release the GIL).  Outside a run the arrays
     are complete on return, the tasks of a call of at least 2^20
     path-steps split between CPUs.  Inside a run_threads() block with a
-    pool, the tasks are queued there and the arrays are filled after the
-    return: the caller reads rows only after _Run.wait.
+    pool, the tasks are queued there behind those of earlier draws and
+    the arrays are filled after the return.  _Run.wait counts rows by
+    path index, so the caller reads row r only after
+    _Run.wait(start + r + 1).
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
@@ -321,7 +344,7 @@ def gen_increments(
     fill = partial(_fill_block, seed, start=start, z=z, dz=dz, scale=math.sqrt(grid.dt), rho=rho)
     run = _RUN.get(None)
     if run is not None:
-        run.queued = deque((max(start, b * _BLOCK) - start, run.pool.submit(fill, b)) for b in blocks)
+        run.queued.extend((max(start, b * _BLOCK), run.pool.submit(fill, b)) for b in blocks)
     elif n_paths * grid.n >= _PARALLEL_STEPS:
         _on_threads(lambda lo, hi: [fill(b) for b in blocks[lo:hi]], len(blocks))
     else:

@@ -5,8 +5,8 @@ per-layer spans; a name renamed or removed in the package would crash
 `perfbench/run.py --trace 1`.  This checks each one resolves, that a
 traced fine-grid run (several convolution row blocks) still gives every
 convolution a flop count and passes the trace's own checks, and that a
-traced two-chunk run draws once per chunk and builds each kernel matrix
-once per call while its tiles run.
+traced three-draw run makes one draw span per draw and builds each
+kernel matrix once per call while its tiles run.
 """
 
 import importlib
@@ -72,16 +72,17 @@ def test_traced_fine_grid_run_counts_blocked_convolutions():
 
 def test_traced_run_sees_one_draw_span_per_chunk_with_threaded_fills(monkeypatch):
     # the Tracer's span stack is not thread-safe: the block fills on the
-    # pool must never call a wrapped name, so each chunk's draw is one span
+    # pool must never call a wrapped name, so each draw is one span, made
+    # on the calling thread even when it is queued ahead of the tiles
     tracing = _tracing()
     mods = {"cli": cli, "greeks": greeks, "kernel": kernel, "models": models,
             "oracles": oracles, "paths": paths, "weights": weights}
-    monkeypatch.setattr(paths, "_PARALLEL_STEPS", 0)  # every chunk's fill takes the pool
+    monkeypatch.setattr(paths, "_PARALLEL_STEPS", 0)  # every draw's fill takes the pool
     monkeypatch.setattr(paths, "_cpu_count", lambda: 3)
     grid = TimeGrid(T=1.0, n=256)
     model = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.05, kernel=KernelSpec(H=0.14))
     market, opt = MarketSpec(s0=100.0, r=0.05), OptionSpec(strike=100.0, maturity=1.0)
-    n_paths = greeks._CHUNK + 1024  # two chunks
+    n_paths = greeks._CHUNK + 1024  # draws of 4096, 4096 and 1024 paths
     tracer = tracing.Tracer()
     t0 = perf_counter()
     with tracer.installed(mods, tracing.layers_table(DEGENERATE_INTG)):
@@ -89,10 +90,10 @@ def test_traced_run_sees_one_draw_span_per_chunk_with_threaded_fills(monkeypatch
         oracles.fd_greek("hsens", model, market, opt, grid, n_paths, seed=5)
     wall = perf_counter() - t0
     draws = [s for s in tracer.spans if s.name == "paths.gen_increments"]
-    assert [tracer.spans[s.parent].name for s in draws] == ["greeks.estimate_many"] * 2 + ["oracles.fd_greek"] * 2
-    assert [s.work["normals"] for s in draws] == [2 * 256 * greeks._CHUNK, 2 * 256 * 1024] * 2
+    assert [tracer.spans[s.parent].name for s in draws] == ["greeks.estimate_many"] * 3 + ["oracles.fd_greek"] * 3
+    assert [s.work["normals"] for s in draws] == [2 * 256 * 4096, 2 * 256 * 4096, 2 * 256 * 1024] * 2
     metrics, checks = tracing.layer_metrics(tracer.spans, wall)
-    assert metrics["paths.rng_calls"][0] == 4
+    assert metrics["paths.rng_calls"][0] == 6
     assert len(checks) == 2 and all(ok for _, ok, _ in checks), checks
 
 
@@ -103,7 +104,7 @@ def test_traced_tiled_run_draws_once_per_chunk_and_builds_each_matrix_once_per_c
     grid = TimeGrid(T=1.0, n=64)
     model = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.05, kernel=KernelSpec(H=0.14))
     market, opt = MarketSpec(s0=100.0, r=0.05), OptionSpec(strike=100.0, maturity=1.0)
-    n_paths = greeks._CHUNK + 1024  # two chunks, 8 + 1 tiles
+    n_paths = greeks._CHUNK + 1024  # three draws, 4 + 4 + 1 tiles
     tracer = tracing.Tracer()
     t0 = perf_counter()
     with tracer.installed(mods, tracing.layers_table(DEGENERATE_INTG)):
@@ -120,7 +121,7 @@ def test_traced_tiled_run_draws_once_per_chunk_and_builds_each_matrix_once_per_c
     def per_call(name):
         return Counter(call_of(s) for s in spans if s.name == name)
 
-    assert per_call("paths.gen_increments") == {"greeks.estimate_many": 2, "oracles.fd_greek": 2}
+    assert per_call("paths.gen_increments") == {"greeks.estimate_many": 3, "oracles.fd_greek": 3}
     # K and dK/dH for the estimates; K, K(H + h) and K(H - h) for the FD pass
     assert per_call("kernel.matrix") == {"greeks.estimate_many": 2, "oracles.fd_greek": 3}
     metrics, checks = tracing.layer_metrics(spans, wall)

@@ -215,7 +215,7 @@ def test_discarded_paths_are_the_same_for_every_weighted_kind(monkeypatch):
     monkeypatch.setattr(weights, "DEGENERATE_INTG", threshold)
     monkeypatch.setattr(greeks, "_CHUNK", 512)
     monkeypatch.setattr(greeks, "_TILE", 256)
-    n_paths = 512 + 356  # two chunks, the second ending in a 100-path tile
+    n_paths = 512 + 356  # four 256-path draws (two alive at once), the last a 100-path tile
     grid, kinds = TimeGrid(T=1.0, n=16), ["price", "delta", "hsens"]
     price, delta, hsens = estimate_many(kinds, FIG_MODEL, FIG_MKT, OPT, grid, n_paths, seed=3)
     inc = gen_increments(grid, FIG_MODEL.rho, seed=3, n_paths=n_paths)

@@ -208,7 +208,7 @@ def test_fd_delta_agrees_for_stein_stein():
 
 ROUGH = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.05, kernel=KernelSpec(H=0.14, eps=1e-6))
 GRID16 = TimeGrid(T=1.0, n=16)
-TWO_CHUNKS = 8192 + 300  # greeks._CHUNK + a partial chunk
+TWO_CHUNKS = 8192 + 300  # greeks._CHUNK (two 4096-path draws) + a partial draw
 
 
 def _per_kind(kinds, model, mkt, n_paths, seed, bump=None, **kw):
@@ -257,8 +257,8 @@ def test_fd_sequence_draws_once_and_prices_each_setup_once(monkeypatch):
         monkeypatch.setattr(oracles, name, counting(name))
     mkt = MarketSpec(s0=100.0, r=0.05)
     fd_greek(["delta", "gamma", "rho", "vega"], ROUGH, mkt, OPT, TimeGrid(T=1.0, n=4), TWO_CHUNKS, seed=3)
-    # per chunk: one draw; per tile (8 of 1024 paths, then one of 300): vol paths
-    # for the unbumped, v0 + h and v0 - h models; the setups s0 +- h, s0,
-    # r +- h and v0 +- h priced once each
-    assert calls == {"gen_increments": 2, "vol_path": 3 * 9, "price_path": 7 * 9}
+    # three draws (4096, 4096 and 300 paths); per tile (8 of 1024 paths, then
+    # one of 300): vol paths for the unbumped, v0 + h and v0 - h models; the
+    # setups s0 +- h, s0, r +- h and v0 +- h priced once each
+    assert calls == {"gen_increments": 3, "vol_path": 3 * 9, "price_path": 7 * 9}
 

@@ -1,14 +1,15 @@
-"""Tiled chunks: each chunk is drawn once and simulated in row tiles.
+"""Tiled draws: each draw is made once and simulated in row tiles.
 
-Estimates must not depend on the tile size or on the draw size, a draw
-must hold at most 2^22 path-steps (or one tile), and a chunk's peak
-memory must stay near its draw plus one tile instead of growing with
-every per-path array of the chunk.
+Estimates must not depend on the tile size or on the draw size, the
+draws alive at once must hold at most 2^22 path-steps (or one tile), and
+a run's peak memory must stay near those draws plus one tile instead of
+growing with every per-path array of the run.
 """
 
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -23,14 +24,14 @@ from volterra_greeks.models import AlphaRFSV, MarketSpec, kernel_cache
 from volterra_greeks.oracles import fd_greek
 from volterra_greeks.paths import TimeGrid
 
-CHUNK = 2048  # a smaller chunk keeps the n = 600 runs short
-N_PATHS = CHUNK + 700  # a chunk boundary, and a partial last tile at every tile size
-TILES = (256, 1024, CHUNK)  # CHUNK: one tile per chunk, the untiled layout
+CHUNK = 2048  # a smaller cap keeps the n = 600 runs short
+N_PATHS = CHUNK + 700  # a draw boundary, and a partial last tile at every tile size
+TILES = (256, 1024, CHUNK)  # CHUNK: one tile per draw, the untiled layout
 FD_KINDS = {"alpharfsv": ["delta", "gamma", "rho", "vega", "hsens"], "black_scholes": ["delta", "gamma", "rho", "vega"]}
 
 
 def _tiled(monkeypatch, module, name, tile):
-    """Patch the chunk and tile sizes; record how many paths each call of module.name gets."""
+    """Patch the cap and tile sizes; record how many paths each call of module.name gets."""
     monkeypatch.setattr(greeks, "_CHUNK", CHUNK)
     monkeypatch.setattr(greeks, "_TILE", tile)
     fn, sizes = getattr(models, name), []  # both patched names are models functions
@@ -74,44 +75,59 @@ def test_fd_sequences_do_not_depend_on_tile_size(monkeypatch, name, n):
 
 
 def _draws(monkeypatch, *modules):
-    """Record (n_paths, start) of each gen_increments call made through the modules."""
-    calls = []
+    """Record (n_paths, start) of each gen_increments call made through the modules, and the paths alive after it.
+
+    A draw is alive until its dZ array is freed, which no tile view of it
+    outlives, so the count is what the run really holds.
+    """
+    calls, alive, live = [], [], {}
 
     def counted(grid, rho, seed, n_paths=1, start=0):
         calls.append((n_paths, start))
-        return paths.gen_increments(grid, rho, seed, n_paths, start)
+        inc = paths.gen_increments(grid, rho, seed, n_paths, start)
+        live[start] = n_paths
+        weakref.finalize(inc.dZ, live.pop, start)
+        alive.append(sum(live.values()))
+        return inc
 
     for module in modules:
         monkeypatch.setattr(module, "gen_increments", counted)
-    return calls
+    return calls, alive
 
 
-@pytest.mark.parametrize("n,size", [(64, 8192), (256, 8192), (1100, 3072), (2048, 2048)])
-def test_draws_hold_at_most_2_22_path_steps(monkeypatch, n, size):
-    # the constant-vol model keeps the n = 2048 runs cheap; a full draw and 300 more paths
-    grid, model = TimeGrid(T=1.0, n=n), MODELS["black_scholes"]
-    calls = _draws(monkeypatch, greeks)
-    estimate_many(["delta"], model, MARKET, OPTION, grid, size + 300, seed=7)
-    assert calls == [(size, 0), (300, size)]
-    calls = _draws(monkeypatch, oracles)
-    fd_greek("delta", model, MARKET, OPTION, grid, size + 300, seed=7)
-    assert calls == [(size, 0), (300, size)]
-    assert size % paths._BLOCK == 0
+# paths per draw: the whole tiles in half the cap, at least one tile
+DRAW = {64: 4096, 256: 4096, 1100: 1024, 2048: 1024}
+
+
+@pytest.mark.parametrize("n,cap", [(64, 8192), (256, 8192), (1100, 3072), (2048, 2048)])
+def test_draws_hold_at_most_2_22_path_steps(monkeypatch, n, cap):
+    # the cap is the most paths alive in draws at once; the constant-vol
+    # model keeps the n = 2048 runs cheap; a full cap and 300 more paths
+    grid, model, size = TimeGrid(T=1.0, n=n), MODELS["black_scholes"], DRAW[n]
+    want = [(size, start) for start in range(0, cap, size)] + [(300, cap)]
+    calls, alive = _draws(monkeypatch, greeks)
+    estimate_many(["delta"], model, MARKET, OPTION, grid, cap + 300, seed=7)
+    assert calls == want and max(alive) == cap
+    calls, alive = _draws(monkeypatch, oracles)
+    fd_greek("delta", model, MARKET, OPTION, grid, cap + 300, seed=7)
+    assert calls == want and max(alive) == cap
+    assert cap * n <= greeks._DRAW_STEPS and size % paths._BLOCK == 0
 
 
 def test_draw_cap_does_not_change_estimates(monkeypatch):
     grid, model, n_paths = TimeGrid(T=1.0, n=1100), MODELS["alpharfsv"], 3072 + 300
     kinds = ["delta", "hsens"]
     runs, draws = [], []
-    for steps in (greeks._DRAW_STEPS, greeks._CHUNK * grid.n):  # capped, then one draw of up to _CHUNK paths
+    # capped (1024-path draws, three alive at once), then one draw of up to half of _CHUNK paths
+    for steps in (greeks._DRAW_STEPS, greeks._CHUNK * grid.n):
         monkeypatch.setattr(greeks, "_DRAW_STEPS", steps)
-        calls = _draws(monkeypatch, greeks, oracles)
+        calls, _ = _draws(monkeypatch, greeks, oracles)
         runs.append((
             estimate_many(kinds, model, MARKET, OPTION, grid, n_paths, seed=11),
             fd_greek(kinds, model, MARKET, OPTION, grid, n_paths, seed=11),
         ))
         draws.append(len(calls))
-    assert draws == [4, 2]
+    assert draws == [8, 2]
     assert runs[0] == runs[1]
 
 
@@ -176,7 +192,7 @@ def test_kernel_cache_builds_each_matrix_once_per_block(monkeypatch):
 
 def test_chunks_share_one_matrix_build_per_call(monkeypatch):
     model, grid, kinds, n_paths = MODELS["alpharfsv"], TimeGrid(T=1.0, n=64), ["delta", "hsens"], 16 * 256
-    one_chunk = estimate_many(kinds, model, MARKET, OPTION, grid, n_paths, seed=41)
+    one_draw = estimate_many(kinds, model, MARKET, OPTION, grid, n_paths, seed=41)
     builds = []
 
     def counting(spec, times):
@@ -184,9 +200,16 @@ def test_chunks_share_one_matrix_build_per_call(monkeypatch):
         return kernel_matrix(spec, times)
 
     monkeypatch.setattr(models, "kernel_matrix", counting)
-    monkeypatch.setattr(greeks, "_CHUNK", 256)  # 16 chunks, one after another, on the call's one cache
-    assert estimate_many(kinds, model, MARKET, OPTION, grid, n_paths, seed=41) == one_chunk
-    assert builds == [model.kernel]
+    # 16 draws of 256 paths on the call's one cache: a cap below one tile
+    # (one draw alive at a time), then two alive at once with 256-path tiles
+    for chunk, tile, most_alive in ((256, 1024, 256), (512, 256, 512)):
+        monkeypatch.setattr(greeks, "_CHUNK", chunk)
+        monkeypatch.setattr(greeks, "_TILE", tile)
+        builds.clear()
+        calls, alive = _draws(monkeypatch, greeks)
+        assert estimate_many(kinds, model, MARKET, OPTION, grid, n_paths, seed=41) == one_draw
+        assert builds == [model.kernel]
+        assert calls == [(256, start) for start in range(0, n_paths, 256)] and max(alive) == most_alive
 
 
 def test_concurrent_host_threads_keep_their_own_kernel_cache(monkeypatch):
