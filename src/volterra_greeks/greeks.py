@@ -107,10 +107,10 @@ class OptionSpec:
     payoff: str = "call"
 
     def __post_init__(self):
-        if self.strike <= 0.0:
-            raise ValueError(f"strike must be > 0, got {self.strike}")
-        if self.maturity <= 0.0:
-            raise ValueError(f"maturity must be > 0, got {self.maturity}")
+        if not 0.0 < self.strike < math.inf:
+            raise ValueError(f"strike must be finite and > 0, got {self.strike}")
+        if not 0.0 < self.maturity < math.inf:
+            raise ValueError(f"maturity must be finite and > 0, got {self.maturity}")
         if self.payoff not in ("call", "put", "digital_call"):
             raise ValueError(f"payoff must be call, put or digital_call, got {self.payoff!r}")
 

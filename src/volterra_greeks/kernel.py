@@ -57,8 +57,8 @@ class KernelSpec:
     def __post_init__(self):
         if not 0.0 < self.H < 1.0:
             raise ValueError(f"H must lie in (0, 1), got {self.H}")
-        if self.eps < 0.0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
+        if not 0.0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
 
 
 def _check_args(spec: KernelSpec, t, s) -> None:

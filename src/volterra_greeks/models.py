@@ -97,21 +97,23 @@ def _check_rho(rho: float) -> None:
 
 
 def _check_exponential(v0: float, alpha: float, rho: float, **xis: float) -> None:
-    if v0 <= 0.0:
-        raise ValueError(f"v0 must be > 0, got {v0}")
+    if not 0.0 < v0 < math.inf:
+        raise ValueError(f"v0 must be finite and > 0, got {v0}")
     for name, xi in xis.items():
-        if xi < 0.0:
-            raise ValueError(f"{name} must be >= 0, got {xi}")
+        if not 0.0 <= xi < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {xi}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     _check_rho(rho)
 
 
-def _check_mean_reverting(kappa: float, nu: float, rho: float) -> None:
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    if nu < 0.0:
-        raise ValueError(f"nu must be >= 0, got {nu}")
+def _check_mean_reverting(v0: float, kappa: float, theta: float, nu: float, rho: float) -> None:
+    for name, x in (("v0", v0), ("theta", theta)):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+    for name, x in (("kappa", kappa), ("nu", nu)):
+        if not 0.0 <= x < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {x}")
     _check_rho(rho)
 
 
@@ -126,10 +128,10 @@ class MarketSpec:
     r: float = 0.0
 
     def __post_init__(self):
-        if self.s0 <= 0.0:
-            raise ValueError(f"s0 must be > 0, got {self.s0}")
-        if self.r < 0.0:
-            raise ValueError(f"r must be >= 0, got {self.r}")
+        if not 0.0 < self.s0 < math.inf:
+            raise ValueError(f"s0 must be finite and > 0, got {self.s0}")
+        if not 0.0 <= self.r < math.inf:
+            raise ValueError(f"r must be finite and >= 0, got {self.r}")
 
 
 @dataclass
@@ -373,7 +375,7 @@ class RoughSteinStein(_StaticDV):
     kernel: KernelSpec
 
     def __post_init__(self):
-        _check_mean_reverting(self.kappa, self.nu, self.rho)
+        _check_mean_reverting(self.v0, self.kappa, self.theta, self.nu, self.rho)
 
     def path(self, grid, inc):
         """V_i = v0 + kappa sum_{j<i} (theta - V_j) dt + nu Y_i, left point."""
@@ -447,7 +449,7 @@ class SteinStein(_StaticDV):
     rho: float
 
     def __post_init__(self):
-        _check_mean_reverting(self.kappa, self.nu, self.rho)
+        _check_mean_reverting(self.v0, self.kappa, self.theta, self.nu, self.rho)
 
     def path(self, grid, inc):
         dz = inc.dZ
@@ -470,8 +472,8 @@ class BlackScholes(_StaticDV):
     VOL_LEVEL = "sigma"
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
 
     def path(self, grid, inc):
         return np.full(inc.dZ.shape[:-1] + (grid.n + 1,), self.sigma), {}

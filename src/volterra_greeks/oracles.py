@@ -105,8 +105,8 @@ class BumpSpec:
     def __post_init__(self):
         if self.parameter not in _BUMP_DEFAULTS:
             raise ValueError(f"parameter must be one of {sorted(_BUMP_DEFAULTS)}, got {self.parameter!r}")
-        if self.size <= 0.0:
-            raise ValueError(f"bump size must be > 0, got {self.size}")
+        if not 0.0 < self.size < math.inf:
+            raise ValueError(f"bump size must be finite and > 0, got {self.size}")
 
 
 def default_bump(parameter: str) -> BumpSpec:

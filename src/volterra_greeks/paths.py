@@ -6,15 +6,16 @@ step dt, dW, dWt ~ N(0, dt) i.i.d. from block-keyed substreams (RNG stream
 depends only on (seed, path index), never on batching or worker schedule,
 and larger runs extend smaller ones.  dZ = rho dW + sqrt(1 - rho^2) dWt.
 Each block is drawn, scaled and mixed by one task into its own rows, so
-the values do not depend on which thread runs it.  Inside a run
-(run_threads, opened by greeks._per_tile around an estimator or FD
-pass), a draw queues its blocks on the run's pool and returns at once;
-the run tracks every queued block by its first path row, and a row is
-read only after _Run.wait has seen its block filled, so the calling
-thread works on one tile while the pool fills the next ones, of this
-draw and of the draws queued ahead of it.  The estimators' live draws
-hold at most 8192 paths and max(1024 paths, 2^22 path-steps) at once,
-about 100 MB up to n = 4096.
+the values do not depend on which thread runs it.  Threads start only
+inside a run (run_threads, opened by greeks._per_tile around an
+estimator or FD pass); outside one, and on one CPU, the calling thread
+does all the work before it returns.  In a run a draw queues its blocks
+on the run's pool and returns at once; the run tracks every queued
+block by its first path row, and a row is read only after _Run.wait has
+seen its block filled, so the calling thread works on one tile while
+the pool fills the next ones, of this draw and of the draws queued
+ahead of it.  The estimators' live draws hold at most 8192 paths and
+max(1024 paths, 2^22 path-steps) at once, about 100 MB up to n = 4096.
 
 The Volterra path uses the left-point rule
 
@@ -79,7 +80,6 @@ _ROW_BLOCK = 512  # grids with n above this convolve in row blocks; smaller ones
 _FFT_STEPS = 1536  # grids with at least this many steps convolve by real FFT; GEMM wins below
 _FFT_GROUP = 128  # paths per inverse transform on each thread; keeps the scratch arrays near 8 MB
 _SHARES_PER_CPU = 4  # inside a run, _on_threads cuts its rows into this many shares per CPU
-_PARALLEL_STEPS = 1 << 20  # draws of at least this many path-steps fill their blocks on threads outside a run
 # numpy's bundled OpenBLAS, next to the numpy package, and its thread-count symbols
 _OPENBLAS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "libscipy_openblas64_-*.so")
 _OPENBLAS_GET, _OPENBLAS_SET = "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"
@@ -104,8 +104,8 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise ValueError(f"T must be > 0, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"T must be finite and > 0, got {self.T}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
 
@@ -133,7 +133,7 @@ class DriverIncrements:
 
     @cached_property
     def _dz_spectrum(self) -> np.ndarray:
-        """rfft of each path's dZ zero-padded to _fft_len(n), taken once, the paths split between CPUs."""
+        """rfft of each path's dZ zero-padded to _fft_len(n), taken once; _on_threads shares out the paths."""
         n = self.dZ.shape[-1]
         dz = self.dZ.reshape(-1, n)
         out = np.empty((len(dz), _fft_len(n) // 2 + 1), dtype=complex)
@@ -175,27 +175,23 @@ def _cpu_count() -> int:
 
 
 def _on_threads(task, rows: int) -> None:
-    """task(lo, hi) on contiguous shares of rows 0..rows, on up to one thread per CPU.
+    """task(lo, hi) on contiguous shares of rows 0..rows, on the run's threads; task(0, rows) outside a run.
 
-    Outside a run a per-call pool takes one share per CPU.  Inside one the
-    rows are cut into _SHARES_PER_CPU shares per CPU, which the calling
-    thread and up to one pool helper per other CPU take from one shared
-    counter.  A helper the pool has not started by the time the calling
-    thread runs out of shares (it may be queued behind block fills) is
-    cancelled, so the calling thread waits only on shares already under
-    way.  The FFT rows are transformed one by one (numpy releases the
-    GIL), so the values do not depend on the split.
+    Outside a run, or with one CPU, the calling thread takes every row in
+    one call, and no thread starts.  Inside a run the rows are cut into
+    _SHARES_PER_CPU shares per CPU, which the calling thread and up to
+    one pool helper per other CPU take from one shared counter.  A helper
+    the pool has not started by the time the calling thread runs out of
+    shares (it may be queued behind block fills) is cancelled, so the
+    calling thread waits only on shares already under way.  The FFT rows
+    are transformed one by one (numpy releases the GIL), so the values do
+    not depend on the split.
     """
-    k = min(_cpu_count(), rows)
-    if k <= 1:
+    run = _RUN.get(None)
+    if run is None:  # no run open, or a run on one CPU
         task(0, rows)
         return
-    run = _RUN.get(None)
-    if run is None:
-        share = [(i * rows // k, (i + 1) * rows // k) for i in range(k)]
-        with ThreadPoolExecutor(max_workers=k) as pool:
-            list(pool.map(lambda s: task(*s), share))  # a failed task raises here
-        return
+    k = min(_cpu_count(), rows)
     m = min(rows, _SHARES_PER_CPU * k)
     shares, lock = iter([(i * rows // m, (i + 1) * rows // m) for i in range(m)]), threading.Lock()
 
@@ -326,18 +322,21 @@ def gen_increments(
     p // 256), so results for a given path do not depend on batching,
     thread count or the total number of paths requested.  Each block's
     rows are drawn, scaled by sqrt(dt) and mixed into dZ by one task
-    (_fill_block; the fills release the GIL).  Outside a run the arrays
-    are complete on return, the tasks of a call of at least 2^20
-    path-steps split between CPUs.  Inside a run_threads() block with a
-    pool, the tasks are queued there behind those of earlier draws and
-    the arrays are filled after the return.  _Run.wait counts rows by
-    path index, so the caller reads row r only after
-    _Run.wait(start + r + 1).
+    (_fill_block; the fills release the GIL).  Outside a run the calling
+    thread runs the tasks in order and the arrays are complete on return.
+    Inside a run_threads() block with a pool, the tasks are queued there
+    behind those of earlier draws and the arrays are filled after the
+    return.  _Run.wait counts rows by path index, so the caller reads row
+    r only after _Run.wait(start + r + 1).
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
     z = np.empty((n_paths, 2, grid.n))
     dz = np.empty((n_paths, grid.n))
     blocks = range(start // _BLOCK, (start + n_paths - 1) // _BLOCK + 1)
@@ -345,8 +344,6 @@ def gen_increments(
     run = _RUN.get(None)
     if run is not None:
         run.queued.extend((max(start, b * _BLOCK), run.pool.submit(fill, b)) for b in blocks)
-    elif n_paths * grid.n >= _PARALLEL_STEPS:
-        _on_threads(lambda lo, hi: [fill(b) for b in blocks[lo:hi]], len(blocks))
     else:
         for b in blocks:
             fill(b)
@@ -399,9 +396,8 @@ def convolve(weights: np.ndarray, grid: TimeGrid, inc: DriverIncrements) -> np.n
 
     A dense matrix goes through convolve_kernel.  A spectrum multiplies
     the increments' own spectrum (taken once per DriverIncrements) and is
-    transformed back on one thread per CPU, each taking its share of the
-    paths 128 at a time into scratch arrays written in place, so no array
-    is allocated per group.
+    transformed back by _on_threads, 128 paths at a time into scratch
+    arrays written in place, so no array is allocated per group.
     """
     n = grid.n
     if inc.dZ.shape[-1] != n:

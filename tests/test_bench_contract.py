@@ -77,7 +77,6 @@ def test_traced_run_sees_one_draw_span_per_chunk_with_threaded_fills(monkeypatch
     tracing = _tracing()
     mods = {"cli": cli, "greeks": greeks, "kernel": kernel, "models": models,
             "oracles": oracles, "paths": paths, "weights": weights}
-    monkeypatch.setattr(paths, "_PARALLEL_STEPS", 0)  # every draw's fill takes the pool
     monkeypatch.setattr(paths, "_cpu_count", lambda: 3)
     grid = TimeGrid(T=1.0, n=256)
     model = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.05, kernel=KernelSpec(H=0.14))

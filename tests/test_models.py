@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from volterra_greeks.models import (
     price_path,
     vol_path,
 )
+from volterra_greeks.oracles import BumpSpec
 from volterra_greeks.paths import DriverIncrements, TimeGrid, gen_increments
 from volterra_greeks.weights import weight_components
 
@@ -54,6 +56,31 @@ def test_parameter_validation():
         MarketSpec(s0=-5.0)
     with pytest.raises(ValueError):
         MarketSpec(s0=100.0, r=-0.01)
+
+
+# one valid instance of every spec class; each float field is made non-finite in turn
+SPECS = [
+    TimeGrid(T=1.0, n=8),
+    K14,
+    MarketSpec(s0=100.0, r=0.05),
+    OptionSpec(strike=100.0, maturity=1.0, payoff="digital_call"),
+    BumpSpec(parameter="s0", size=0.01, absolute=False),
+    AlphaRFSV(v0=0.2, xi=0.1, alpha=1.0, rho=-0.3, kernel=K14),
+    MixedAlphaRFSV(v0=0.2, xi_h=0.1, xi_hp=0.2, alpha=1.0, rho=-0.3, kernel_h=K14, kernel_hp=KernelSpec(H=0.7)),
+    RoughSteinStein(v0=0.2, kappa=1.0, theta=0.3, nu=0.1, rho=-0.3, kernel=K30),
+    AlphaSV(v0=0.04, xi=0.5, alpha=1.0, rho=-0.3),
+    SteinStein(v0=0.2, kappa=1.0, theta=0.3, nu=0.1, rho=-0.3),
+    BlackScholes(sigma=0.2),
+]
+FLOAT_FIELDS = [(spec, f.name) for spec in SPECS for f in dataclasses.fields(spec) if f.type in ("float", float)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("spec,name", FLOAT_FIELDS, ids=[f"{type(s).__name__}.{n}" for s, n in FLOAT_FIELDS])
+def test_non_finite_spec_fields_are_rejected(spec, name, value):
+    # nan <= 0.0 is False: every check must also turn away nan and +-inf, naming the field
+    with pytest.raises(ValueError, match=rf"\b{name} must"):
+        dataclasses.replace(spec, **{name: value})
 
 
 def test_arfsv_xi_zero_is_constant():

@@ -1,13 +1,20 @@
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
 from brute_force import stream2_increments
 
 from volterra_greeks import greeks, paths
-from volterra_greeks.kernel import KernelSpec, kernel_by_lag, kernel_eval, kernel_matrix, kernel_variance
+from volterra_greeks.kernel import (
+    KernelSpec,
+    kernel_by_lag,
+    kernel_dh_by_lag,
+    kernel_eval,
+    kernel_matrix,
+    kernel_variance,
+)
 from volterra_greeks.paths import (
     DriverIncrements,
     TimeGrid,
@@ -34,6 +41,10 @@ def test_increment_validation():
         gen_increments(g, rho=1.5, seed=0)
     with pytest.raises(ValueError):
         gen_increments(g, rho=0.0, seed=0, n_paths=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        gen_increments(g, rho=0.0, seed=-1)
+    with pytest.raises(ValueError, match="start must be >= 0, got -3"):
+        gen_increments(g, rho=0.0, seed=0, start=-3)
 
 
 def test_rho_extremes():
@@ -102,28 +113,15 @@ def test_rng_stream_2_golden_values():
     assert np.array_equal(inc.dW[0], 0.5 * z[44, 0]) and np.array_equal(inc.dWt[0], 0.5 * z[44, 1])
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """Record the thread count of every pool gen_increments creates."""
-    sizes = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(paths, "ThreadPoolExecutor", CountingPool)
-    return sizes
-
-
 @pytest.mark.parametrize("rho", [-1.0, -0.05, 0.0, 0.7])
 @pytest.mark.parametrize("cpus", [1, 3])
-def test_increments_equal_the_serial_stream_2_reference(monkeypatch, pools, cpus, rho):
-    # with the size floor at 0 every multi-block call takes the pool when
-    # cpus > 1 (3 threads oversubscribe a 2-core host); the draws, the
-    # sqrt(dt) scaling and the dZ mixing must equal the serial definition
+def test_increments_equal_the_serial_stream_2_reference(monkeypatch, cpus, rho):
+    # each draw is made in its own run: with cpus = 3 its blocks are filled
+    # on the run's pool (3 threads oversubscribe a 2-core host), with 1 on
+    # the calling thread; read once the run has seen every row filled, the
+    # draws, the sqrt(dt) scaling and the dZ mixing must equal the serial
+    # definition
     monkeypatch.setattr(paths, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(paths, "_PARALLEL_STEPS", 0)
     ranges = [(0, 1), (255, 2), (100, 1000), (8192, 1024)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -132,24 +130,41 @@ def test_increments_equal_the_serial_stream_2_reference(monkeypatch, pools, cpus
             g = TimeGrid(T=1.0, n=n)
             # the 9216-path run (two estimator chunks) only where it stays small
             for start, n_paths in ranges + [(0, 9216)] * (n <= 64):
-                inc = gen_increments(g, rho, seed=17, n_paths=n_paths, start=start)
-                dw, dwt, dz = stream2_increments(g, rho, 17, n_paths, start)
-                assert np.array_equal(inc.dW, dw) and np.array_equal(inc.dWt, dwt)
-                assert np.array_equal(inc.dZ, dz)
+                with paths.run_threads() as run:
+                    inc = gen_increments(g, rho, seed=17, n_paths=n_paths, start=start)
+                    run.wait(start + n_paths)
+                    dw, dwt, dz = stream2_increments(g, rho, 17, n_paths, start)
+                    assert np.array_equal(inc.dW, dw) and np.array_equal(inc.dWt, dwt)
+                    assert np.array_equal(inc.dZ, dz)
     finally:
         sys.setswitchinterval(interval)
-    if cpus == 1:
-        assert pools == []
-    else:
-        assert set(pools) == {2, 3}  # min(cpus, blocks): (255, 2) spans two blocks
 
 
-def test_only_large_draws_fill_blocks_on_a_pool(monkeypatch, pools):
-    monkeypatch.setattr(paths, "_cpu_count", lambda: 2)
-    gen_increments(TimeGrid(T=1.0, n=64), 0.3, seed=1, n_paths=8192)  # 2^19 path-steps
-    assert pools == []
-    gen_increments(TimeGrid(T=1.0, n=128), 0.3, seed=1, n_paths=8192)  # 2^20
-    assert pools == [2]
+def test_calls_outside_a_run_start_no_thread(monkeypatch):
+    # threads start only inside a run: with 3 CPUs and no way to build a
+    # pool, a 2^22 path-step draw and n = 2048 FFT paths are made on the
+    # calling thread and equal their serial definitions
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a pool was built outside a run")
+
+    monkeypatch.setattr(paths, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(paths, "ThreadPoolExecutor", NoPool)
+    before = set(threading.enumerate())
+    g = TimeGrid(T=1.0, n=256)
+    inc = gen_increments(g, 0.3, seed=17, n_paths=1 << 14)
+    dw, dwt, dz = stream2_increments(g, 0.3, 17, 1 << 14)
+    assert np.array_equal(inc.dW, dw) and np.array_equal(inc.dWt, dwt) and np.array_equal(inc.dZ, dz)
+    del inc, dw, dwt, dz
+    # convolution 2 on an FFT grid: each row's irfft(rfft(dZ) * rfft(kernel by lag))
+    spec, g = KernelSpec(H=0.14, eps=1e-6), TimeGrid(T=1.0, n=2048)
+    inc, size = gen_increments(g, 0.3, seed=17, n_paths=300), paths._fft_len(2048)
+    dz_hat = np.fft.rfft(inc.dZ, n=size)
+    ys = {kernel_by_lag: volterra_path(spec, g, inc).Y, kernel_dh_by_lag: volterra_dh_path(spec, g, inc)}
+    for by_lag, y in ys.items():
+        want = np.fft.irfft(dz_hat * np.fft.rfft(by_lag(spec, g.times), n=size), n=size)[:, :2048]
+        assert np.array_equal(y[:, 1:], want) and np.all(y[:, 0] == 0.0)
+    assert set(threading.enumerate()) == before
 
 
 def test_h_half_path_is_cumsum():
@@ -264,10 +279,11 @@ def test_fft_rows_do_not_depend_on_the_batch(monkeypatch):
     for lo, hi in ((0, 256), (256, 1024), (1024, 1100), (5, 9), (2047, 2048)):
         part = DriverIncrements(dW=inc.dW[lo:hi], dWt=inc.dWt[lo:hi], dZ=inc.dZ[lo:hi], rho=inc.rho)
         assert np.array_equal(volterra_path(spec, grid, part).Y, y[lo:hi])
-    for cpus in (1, 3):  # the transforms split the paths between threads
+    for cpus in (1, 3):  # in a run the transforms split the paths between threads
         monkeypatch.setattr(paths, "_cpu_count", lambda: cpus)
         part = DriverIncrements(dW=inc.dW[:300], dWt=inc.dWt[:300], dZ=inc.dZ[:300], rho=inc.rho)
-        assert np.array_equal(volterra_path(spec, grid, part).Y, y[:300])
+        with paths.run_threads():
+            assert np.array_equal(volterra_path(spec, grid, part).Y, y[:300])
 
 
 def test_fft_convolution_is_causal():
