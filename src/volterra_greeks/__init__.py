@@ -31,7 +31,7 @@ from .models import (
     make_bundle,
 )
 from .oracles import BsGreeks, BumpSpec, bs_price_greeks, default_bump, fd_greek
-from .paths import DriverIncrements, TimeGrid, VolterraPath, gen_increments, volterra_path
+from .paths import DriverIncrements, TimeGrid, gen_increments, volterra_path
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "KernelSpec",
     "TimeGrid",
     "DriverIncrements",
-    "VolterraPath",
     "gen_increments",
     "volterra_path",
     "MarketSpec",

@@ -34,8 +34,9 @@ thread reaches it, so the pool fills it while the calling thread works.
 The FFT rows run in shares that the calling thread and the pool take
 from one counter, and the run holds OpenBLAS to one thread.  Each
 distinct kernel's weights (its dense matrix, or from n = 1536 its
-spectrum) are made once per call, and on the FFT grids each tile's dZ is
-transformed once for every kernel applied to it.  The workers keyword
+spectrum) are made once per call and kept in the run, and on the FFT
+grids each tile's dZ is transformed once for every kernel applied to
+it.  The workers keyword
 of estimate, estimate_many, converge and oracles.fd_greek accepts only
 1: the chunk pool it sized was removed.
 
@@ -67,8 +68,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import MarketSpec, ModelSpec, kernel_cache, make_bundle
-from .paths import DriverIncrements, TimeGrid, gen_increments, run_threads
+from .models import MarketSpec, ModelSpec, make_bundle
+from .paths import DriverIncrements, TimeGrid, _index, gen_increments, run_threads
 from .weights import (
     DEGENERATE_INTG,
     assemble_delta_weight,
@@ -194,10 +195,10 @@ def _per_tile(n_paths: int, n_steps: int, draw, fn) -> dict:
     draw k + 1 while the calling thread works through draw k, and draw
     k + ahead is made as soon as draw k is freed; a cap of one tile (from
     n = 4096) leaves one draw alive and no lookahead.  The run is one
-    kernel_cache() block and one paths.run_threads() block: each distinct
-    kernel's weights are made once, the draws queue their block fills on
-    the run's pool, and each tile goes to fn, on the calling thread, as
-    soon as its blocks are filled.
+    paths.run_threads() block: each distinct kernel's weights are made
+    once, the draws queue their block fills on the run's pool, and each
+    tile goes to fn, on the calling thread, as soon as its blocks are
+    filled.
     """
     cap = min(_CHUNK, max(_TILE, (_DRAW_STEPS // n_steps) // _TILE * _TILE))  # most paths alive at once
     size = min(cap, max(_TILE, cap // 2 // _TILE * _TILE))  # paths per draw
@@ -206,7 +207,7 @@ def _per_tile(n_paths: int, n_steps: int, draw, fn) -> dict:
     def drawn(j):  # the j-th draw, its fills queued on the run's pool
         return draw(min(size, n_paths - starts[j]), starts[j])
 
-    with kernel_cache(), run_threads() as run:
+    with run_threads() as run:
         alive = deque(drawn(j) for j in range(min(ahead, len(starts))))
         for k, start in enumerate(starts):
             inc = alive.popleft()
@@ -251,9 +252,9 @@ def _reduce(kind, x, valid, confidence) -> GreekEstimate:
 def _validate_run(opt, grid, n_paths, seed, confidence, workers):
     if opt.maturity != grid.T:
         raise ValueError(f"option maturity {opt.maturity} must equal the grid horizon {grid.T}")
-    if n_paths < 2:
+    if _index("n_paths", n_paths) < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
-    if seed < 0:
+    if _index("seed", seed) < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
@@ -311,7 +312,7 @@ def converge(
     reduces the prefix of the same path-indexed samples, so every run
     extends the smaller ones path-for-path.
     """
-    ns = [int(x) for x in ns_schedule]
+    ns = [_index("ns_schedule entry", x) for x in ns_schedule]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 2:
         raise ValueError("ns_schedule must be strictly increasing with entries >= 2")
     kinds = _check_kinds([kind])

@@ -23,9 +23,9 @@ Each class supplies everything the estimator needs to know about it, so
 no other module branches on the model type:
 
 * path(grid, inc)            V and the per-tile arrays the members below
-                             read (the kernel row integrals kappa_hat of
-                             the kernel the path was convolved with, and
-                             the mixed model's two factors);
+                             read (the kernel row integrals kappa_hat that
+                             paths.volterra_path returns with Y, and the
+                             mixed model's two factors);
 * sigma_of(v)                the vol-of-spot map;
 * profiles(grid, bundle)     sigma(V), g1 = sigma'(V) IDV and
                              g2 = sigma''(V) IDV^2 + sigma'(V) IDDV on cells
@@ -45,30 +45,16 @@ supply raise UnsupportedError.
 
 from __future__ import annotations
 
-import contextlib
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .kernel import (
-    KernelSpec,
-    kernel_by_lag,
-    kernel_dh_by_lag,
-    kernel_dh_matrix,
-    kernel_eval,
-    kernel_kappa,
-    kernel_matrix,
-    kernel_variance,
-    kernel_variance_dh,
-    toeplitz_row_sums,
-)
-from . import paths
-# volterra_dh_path is not called here (_convolve shares its weights), but the
-# benchmark's traced run (perfbench/tracing.py) wraps models.volterra_dh_path
-from .paths import DriverIncrements, TimeGrid, volterra_dh_path, volterra_path  # noqa: F401
+from .kernel import KernelSpec, kernel_eval, kernel_kappa, kernel_variance, kernel_variance_dh
+# not called here, but the benchmark's traced run (perfbench/tracing.py) wraps both names in models
+from .kernel import kernel_dh_matrix, kernel_matrix  # noqa: F401
+from .paths import DriverIncrements, TimeGrid, volterra_dh_path, volterra_path
 
 __all__ = [
     "UnsupportedError",
@@ -181,65 +167,6 @@ def _exp_factor(v0, xi, alpha, kernel, grid, y):
     return v
 
 
-# the kernel_cache() dict of the current call; unset outside one
-_KERNELS: ContextVar[dict] = ContextVar("volterra_greeks_kernels")
-
-
-@contextlib.contextmanager
-def kernel_cache():
-    """Within the block, each distinct kernel's weights are made once.
-
-    _convolve keys its weights by (builder, KernelSpec, TimeGrid), all
-    immutable, and keeps them until the block exits.  The cache lives in
-    a context variable, so concurrent blocks in other host threads keep
-    their own.  Only the thread that opened the block reads or writes its
-    dict: the threads that fill draws and transform FFT rows never do.
-    """
-    token = _KERNELS.set({})
-    try:
-        yield
-    finally:
-        _KERNELS.reset(token)
-
-
-def _kernel_weights(build, kernel: KernelSpec, grid: TimeGrid):
-    """paths.kernel_weights of build(kernel, times) and the row integrals dt W.sum(axis=1), read-only.
-
-    The weights are the dense matrix below paths._FFT_STEPS and the
-    kernel's spectrum from there; the row integrals are summed from the
-    per-lag vector either way, so they never depend on the grid's route.
-    Made once per kernel_cache() block, on every call outside one.
-    """
-    cache, key = _KERNELS.get({}), (build, kernel, grid)
-    if key not in cache:
-        by_lag = kernel_by_lag if build is kernel_matrix else kernel_dh_by_lag
-        w = paths.kernel_weights(build, by_lag, kernel, grid)
-        row_int = grid.dt * toeplitz_row_sums(by_lag(kernel, grid.times))
-        w.flags.writeable = row_int.flags.writeable = False  # shared by every tile of the call
-        cache[key] = w, row_int
-    return cache[key]
-
-
-def _convolve(build, kernel: KernelSpec, grid: TimeGrid, inc: DriverIncrements):
-    """Left-point convolution of dZ with W = build(kernel, times), and dt W.sum(axis=1).
-
-    With build = kernel_matrix these are the Volterra path Y and the kernel
-    row integrals kappa_hat_i = dt sum_{j<i} K(t_i, t_j); with
-    kernel_dh_matrix, dY/dH and the row integrals of dK/dH.  The weights
-    are made once per kernel_cache() block (on every call outside one)
-    and applied by paths.convolve, the route volterra_path and
-    volterra_dh_path take on every grid; the constant H = 1/2, eps = 0
-    kernel keeps volterra_path's exact running sum.  So the results equal
-    those of volterra_path and volterra_dh_path bit for bit.
-    """
-    w, row_int = _kernel_weights(build, kernel, grid)
-    if build is kernel_matrix and kernel.H == 0.5 and kernel.eps == 0.0:
-        y = volterra_path(kernel, grid, inc).Y
-    else:
-        y = paths.convolve(w, grid, inc)
-    return y, row_int
-
-
 @dataclass(frozen=True)
 class AlphaRFSV(_Model):
     """Rough exponential volatility; xi = 0 degenerates to Black-Scholes.
@@ -258,7 +185,7 @@ class AlphaRFSV(_Model):
         _check_exponential(self.v0, self.alpha, self.rho, xi=self.xi)
 
     def path(self, grid, inc):
-        y, kappa_hat = _convolve(kernel_matrix, self.kernel, grid, inc)
+        y, kappa_hat = volterra_path(self.kernel, grid, inc)
         return _exp_factor(self.v0, self.xi, self.alpha, self.kernel, grid, y), {"kappa_hat": kappa_hat}
 
     def profiles(self, grid, b):
@@ -286,7 +213,7 @@ class AlphaRFSV(_Model):
             a = b.V / self.v0
             return a, rx * a * b.aux["kappa_hat"]
         if which == "H":
-            dydh, kappa_hat_dh = _convolve(kernel_dh_matrix, self.kernel, grid, b.inc)
+            dydh, kappa_hat_dh = volterra_dh_path(self.kernel, grid, b.inc)
             # a in dY/dH's buffer and its inner integral in one more, with the same arithmetic
             a = dydh
             a *= self.xi
@@ -324,8 +251,8 @@ class MixedAlphaRFSV(_Model):
         _check_exponential(self.v0, self.alpha, self.rho, xi_h=self.xi_h, xi_hp=self.xi_hp)
 
     def path(self, grid, inc):
-        y, kh = _convolve(kernel_matrix, self.kernel_h, grid, inc)
-        yp, khp = _convolve(kernel_matrix, self.kernel_hp, grid, inc)
+        y, kh = volterra_path(self.kernel_h, grid, inc)
+        yp, khp = volterra_path(self.kernel_hp, grid, inc)
         vh = _exp_factor(self.v0, self.xi_h, self.alpha, self.kernel_h, grid, y)
         vhp = _exp_factor(self.v0, self.xi_hp, self.alpha, self.kernel_hp, grid, yp)
         aux = {"Vh": vh, "Vhp": vhp, "kappa_hat": kh, "kappa_hat_p": khp}
@@ -379,7 +306,7 @@ class RoughSteinStein(_StaticDV):
 
     def path(self, grid, inc):
         """V_i = v0 + kappa sum_{j<i} (theta - V_j) dt + nu Y_i, left point."""
-        y = _convolve(kernel_matrix, self.kernel, grid, inc)[0]
+        y = volterra_path(self.kernel, grid, inc)[0]
         v = y  # V_i overwrites Y_i once it is read (Y_0 = 0 is never read)
         v[..., 0] = self.v0
         drift = np.zeros(y.shape[:-1])

@@ -14,9 +14,9 @@ Two oracles, both free of any Malliavin machinery:
     estimators' tile driver (greeks._per_tile): draws of half the cap
     (8192 paths and 2^22 path-steps, or one tile), the next queued on the
     run's pool while the current one is priced, prices per 1024-path tile
-    as soon as its blocks are filled, each kernel's weights made once per
-    call; on FFT grids the bumped kernels K(H + h) and K(H - h) share the
-    tile's one dZ spectrum.
+    as soon as its blocks are filled, each kernel's weights made once in
+    the run (paths.run_threads); on FFT grids the bumped kernels
+    K(H + h) and K(H - h) share the tile's one dZ spectrum.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def bs_price_greeks(
     raise ValueError(f"payout must be call, put or digital_call, got {payout!r}")
 
 
-# parameter -> (default size, absolute?); s0 and v0 bump relatively,
+# parameter -> (default size, absolute?); s0 and v0 bump relatively (h = size * |base|),
 # H and r absolutely since both can sit near zero.
 _BUMP_DEFAULTS = {"s0": (1e-2, False), "v0": (1e-2, False), "H": (1e-3, True), "r": (1e-3, True)}
 _FD_PARAM = {"delta": "s0", "gamma": "s0", "vega": "v0", "rho": "r", "hsens": "H"}
@@ -150,8 +150,8 @@ def _plan(kind: str, model: ModelSpec, market: MarketSpec, bump: Optional[BumpSp
     if bump is None or bump.parameter != parameter:
         bump = default_bump(parameter)
     base = _base_value(model, market, parameter)
-    h = bump.size if bump.absolute else bump.size * base
-    if h <= 0.0:
+    h = bump.size if bump.absolute else bump.size * abs(base)
+    if h == 0.0:
         raise ValueError(f"relative bump of {parameter} needs a nonzero base value, got {base}")
     if kind == "gamma":
         values, quotient = (base + h, base, base - h), _second

@@ -23,20 +23,22 @@ The Volterra path uses the left-point rule
 
 which never evaluates the kernel on its singular diagonal.  The same
 convolution with dK/dH in place of K gives the pathwise H-derivative.
-An optional variance-exact variant replaces K(t_i, t_j) with per-cell
-root-mean-square kernel weights (used to tighten variance tests; the
-weight formulas elsewhere assume the left-point scheme).
+volterra_path and volterra_dh_path are the one door from a kernel to
+its path: each returns the path and the kernel's row integrals
+dt sum_{j<i} W(t_i, t_j), which the models' weights read.
 
 The weights are Toeplitz, so Y is a causal convolution of dZ with the
 kernel's per-lag vector.  Grids with n < 1536 (_FFT_STEPS) multiply by
 the dense (n+1) x n matrix (convolve_kernel); from n = 1536 on, where a
 real FFT is faster on a 1024-path tile, Y is the inverse rfft of the
 product of the kernel's spectrum and dZ's, and no dense matrix is built.
-Each DriverIncrements transforms its dZ once, and every kernel applied
-to it shares that spectrum.  FFT rows are computed independently, so a
-path's Y never depends on the other paths of the call.  This arithmetic
-is convolution version 2 (CONVOLUTION, in the CLI schema line); version
-1 used the dense product on every grid.
+The constant H = 1/2, eps = 0 kernel is an exact running sum of dZ.
+Each kernel's weights are made once per run and on every call outside
+one.  Each DriverIncrements transforms its dZ once, and every kernel
+applied to it shares that spectrum.  FFT rows are computed
+independently, so a path's Y never depends on the other paths of the
+call.  This arithmetic is convolution version 2 (CONVOLUTION, in the
+CLI schema line); version 1 used the dense product on every grid.
 
 A run holds numpy's bundled OpenBLAS to one thread (_BlasPin): an idle
 BLAS worker spinning after each product slows the fills that share the
@@ -52,6 +54,7 @@ import ctypes
 import glob
 import logging
 import math
+import operator
 import os
 import threading
 from collections import deque
@@ -65,13 +68,14 @@ import numpy as np
 
 from .kernel import (
     KernelSpec,
-    cell_variance_by_lag,
-    cell_variance_matrix,
     kernel_by_lag,
     kernel_dh_by_lag,
     kernel_dh_matrix,
     kernel_matrix,
+    toeplitz_row_sums,
 )
+# not called here, but the benchmark's traced run (perfbench/tracing.py) wraps paths.cell_variance_matrix
+from .kernel import cell_variance_matrix  # noqa: F401
 
 RNG_STREAM = 2  # version of the (seed, path index) -> draws map, in the CLI schema line
 CONVOLUTION = 2  # version of the dZ -> Y arithmetic (2: real FFT from _FFT_STEPS), in the CLI schema line
@@ -88,12 +92,19 @@ __all__ = [
     "RNG_STREAM",
     "TimeGrid",
     "DriverIncrements",
-    "VolterraPath",
     "gen_increments",
     "volterra_path",
     "volterra_dh_path",
     "convolve_kernel",
 ]
+
+
+def _index(name: str, x) -> int:
+    """x as an int: ints and numpy integers pass, anything else (2.0 too) is rejected, naming it."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -106,7 +117,7 @@ class TimeGrid:
     def __post_init__(self):
         if not 0.0 < self.T < math.inf:
             raise ValueError(f"T must be finite and > 0, got {self.T}")
-        if self.n < 1:
+        if _index("n", self.n) < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
 
     @property
@@ -139,14 +150,6 @@ class DriverIncrements:
         out = np.empty((len(dz), _fft_len(n) // 2 + 1), dtype=complex)
         _on_threads(lambda lo, hi: np.fft.rfft(dz[lo:hi], n=_fft_len(n), out=out[lo:hi]), len(dz))
         return out
-
-
-@dataclass(frozen=True)
-class VolterraPath:
-    """Discrete Volterra path Y (last axis length n+1, Y_0 = 0)."""
-
-    Y: np.ndarray
-    kernel: KernelSpec
 
 
 def _fft_len(n: int) -> int:
@@ -188,7 +191,7 @@ def _on_threads(task, rows: int) -> None:
     not depend on the split.
     """
     run = _RUN.get(None)
-    if run is None:  # no run open, or a run on one CPU
+    if run is None or run.pool is None:  # no run open, or a run on one CPU
         task(0, rows)
         return
     k = min(_cpu_count(), rows)
@@ -213,11 +216,12 @@ def _on_threads(task, rows: int) -> None:
 
 
 class _Run:
-    """One run's thread pool, and the block fills its draws queued there, by path row."""
+    """One run's thread pool, the block fills its draws queued there by path row, and its kernels' weights."""
 
     def __init__(self, pool: Optional[ThreadPoolExecutor]):
         self.pool = pool  # None with one CPU: the draws are filled before they return
         self.queued = deque()  # (a block's first path row in the run, the block's fill), in row order
+        self.kernels = {}  # _weights' (weights, row integrals) by (dh, KernelSpec, TimeGrid)
 
     def wait(self, stop: int) -> None:
         """Return once rows 0..stop-1 of the run are filled, over every draw queued; a failed fill raises here."""
@@ -278,27 +282,29 @@ _ONE_BLAS_THREAD = _BlasPin()
 
 @contextlib.contextmanager
 def run_threads():
-    """One run's threads: yields the _Run whose pool fills draws and FFT rows; OpenBLAS on one thread.
+    """One run: yields the _Run whose pool fills draws and FFT rows and which keeps its kernels' weights.
 
     The pool has one thread per CPU and lives until the block exits; on
     exit, fills not yet started are cancelled and the pool's threads are
     joined, so none outlives the run.  Only the calling thread reads the
-    draws, and only after _Run.wait.  With one CPU there is no pool: the
-    draws are filled before they return, as outside a run.
+    draws, and only after _Run.wait; only it reads and writes the
+    kernels' weights, which live until the block exits.  With one CPU
+    the pool is None: the draws are filled before they return, as
+    outside a run.  OpenBLAS runs on one thread in the block.  The run
+    lives in a context variable, so concurrent runs in other host
+    threads keep their own.
     """
     cpus = _cpu_count()
     with _ONE_BLAS_THREAD:
-        if cpus <= 1:
-            yield _Run(None)
-            return
-        pool = ThreadPoolExecutor(max_workers=cpus)
+        pool = ThreadPoolExecutor(max_workers=cpus) if cpus > 1 else None
         run = _Run(pool)
         token = _RUN.set(run)
         try:
             yield run
         finally:
             _RUN.reset(token)
-            pool.shutdown(wait=True, cancel_futures=True)
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _fill_block(seed, b, start, z, dz, scale, rho):
@@ -342,7 +348,7 @@ def gen_increments(
     blocks = range(start // _BLOCK, (start + n_paths - 1) // _BLOCK + 1)
     fill = partial(_fill_block, seed, start=start, z=z, dz=dz, scale=math.sqrt(grid.dt), rho=rho)
     run = _RUN.get(None)
-    if run is not None:
+    if run is not None and run.pool is not None:
         run.queued.extend((max(start, b * _BLOCK), run.pool.submit(fill, b)) for b in blocks)
     else:
         for b in blocks:
@@ -377,22 +383,34 @@ def convolve_kernel(kmat: np.ndarray, dz: np.ndarray) -> np.ndarray:
     return y
 
 
-def kernel_weights(build, by_lag, spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
-    """One kernel's convolution weights in the form convolve applies.
+def _weights(dh: bool, spec: KernelSpec, grid: TimeGrid):
+    """K's (with dh, dK/dH's) convolution weights on grid, and its read-only row integrals dt W.sum(axis=1).
 
-    build and by_lag are the same weights in two forms: a dense builder
-    (kernel_matrix, kernel_dh_matrix or cell_variance_matrix) and its
-    per-lag vector (kernel_by_lag, ...).  Below _FFT_STEPS this is the
-    (n+1) x n matrix build(spec, times); from there, the rfft of the
-    per-lag vector zero-padded to _fft_len(n), and no matrix is built.
+    The weights are the dense (n+1) x n matrix below _FFT_STEPS, and from
+    there the rfft of the per-lag vector zero-padded to _fft_len(n), with
+    no matrix built; None for the constant H = 1/2, eps = 0 kernel, whose
+    path is a running sum.  The row integrals are summed from the per-lag
+    vector, so they never depend on the route.  The pair is kept in the
+    current run and made on every call outside one.
     """
-    if grid.n < _FFT_STEPS:
-        return build(spec, grid.times)
-    return np.fft.rfft(by_lag(spec, grid.times), n=_fft_len(grid.n))
+    run = _RUN.get(None)
+    kernels, key = ({} if run is None else run.kernels), (dh, spec, grid)
+    if key not in kernels:
+        by_lag = (kernel_dh_by_lag if dh else kernel_by_lag)(spec, grid.times)
+        if not dh and spec.H == 0.5 and spec.eps == 0.0:
+            w = None
+        elif grid.n < _FFT_STEPS:
+            w = (kernel_dh_matrix if dh else kernel_matrix)(spec, grid.times)
+        else:
+            w = np.fft.rfft(by_lag, n=_fft_len(grid.n))
+        row_int = grid.dt * toeplitz_row_sums(by_lag)
+        row_int.flags.writeable = False  # handed to every tile of the run
+        kernels[key] = w, row_int
+    return kernels[key]
 
 
-def convolve(weights: np.ndarray, grid: TimeGrid, inc: DriverIncrements) -> np.ndarray:
-    """Y = W dZ for the weights kernel_weights made on grid; Y_0 = 0, last axis length n+1.
+def _path(dh: bool, spec: KernelSpec, grid: TimeGrid, inc: DriverIncrements):
+    """(Y = W dZ, the row integrals of W) for W = K, or dK/dH with dh; Y_0 = 0, last axis length n+1.
 
     A dense matrix goes through convolve_kernel.  A spectrum multiplies
     the increments' own spectrum (taken once per DriverIncrements) and is
@@ -402,51 +420,41 @@ def convolve(weights: np.ndarray, grid: TimeGrid, inc: DriverIncrements) -> np.n
     n = grid.n
     if inc.dZ.shape[-1] != n:
         raise ValueError("increments do not match the grid")
-    if weights.ndim == 2:
-        return convolve_kernel(weights, inc.dZ)
-    if weights.shape != (_fft_len(n) // 2 + 1,):
-        raise ValueError(f"the kernel spectrum is not one of the {n}-step grid")
+    w, row_int = _weights(dh, spec, grid)
+    if w is None:  # constant kernel: exact cumulative sum
+        y = np.zeros(inc.dZ.shape[:-1] + (n + 1,))
+        np.cumsum(inc.dZ, axis=-1, out=y[..., 1:])
+        return y, row_int
+    if w.ndim == 2:
+        return convolve_kernel(w, inc.dZ), row_int
     y = np.empty(inc.dZ.shape[:-1] + (n + 1,))
     y2 = y.reshape(-1, n + 1)
     y2[:, 0] = 0.0
     dz_hat, size = inc._dz_spectrum, _fft_len(n)
 
     def back(lo, hi):  # _FFT_GROUP rows at a time through two scratch arrays
-        prod = np.empty((min(_FFT_GROUP, hi - lo), len(weights)), dtype=complex)
+        prod = np.empty((min(_FFT_GROUP, hi - lo), len(w)), dtype=complex)
         full = np.empty((len(prod), size))
         for p in range(lo, hi, _FFT_GROUP):
             m = min(_FFT_GROUP, hi - p)
-            np.multiply(dz_hat[p : p + m], weights, out=prod[:m])
+            np.multiply(dz_hat[p : p + m], w, out=prod[:m])
             np.fft.irfft(prod[:m], n=size, out=full[:m])
             y2[p : p + m, 1:] = full[:m, :n]
 
     _on_threads(back, len(y2))
-    return y
+    return y, row_int
 
 
-def volterra_path(
-    spec: KernelSpec, grid: TimeGrid, inc: DriverIncrements, cell_integrated: bool = False
-) -> VolterraPath:
-    """Left-point Volterra path Y_i = sum_{j<i} K(t_i, t_j) dZ_j.
+def volterra_path(spec: KernelSpec, grid: TimeGrid, inc: DriverIncrements) -> tuple[np.ndarray, np.ndarray]:
+    """Left-point Volterra path Y_i = sum_{j<i} K(t_i, t_j) dZ_j, and kappa_hat_i = dt sum_{j<i} K(t_i, t_j).
 
-    With cell_integrated=True the kernel values are replaced by per-cell
-    RMS weights, making Var(Y_i) = r(t_i) exact.  At H = 1/2, eps = 0 the
-    default scheme is a running sum of dZ, computed exactly as such.
+    Y has last axis length n+1 and Y_0 = 0; kappa_hat (length n+1) is
+    read-only.  At H = 1/2, eps = 0, Y is a running sum of dZ, computed
+    exactly as such.
     """
-    if inc.dZ.shape[-1] != grid.n:
-        raise ValueError("increments do not match the grid")
-    if not cell_integrated and spec.H == 0.5 and spec.eps == 0.0:
-        # constant kernel: exact cumulative sum
-        y = np.zeros(inc.dZ.shape[:-1] + (grid.n + 1,))
-        np.cumsum(inc.dZ, axis=-1, out=y[..., 1:])
-        return VolterraPath(Y=y, kernel=spec)
-    if cell_integrated:
-        w = kernel_weights(cell_variance_matrix, cell_variance_by_lag, spec, grid)
-    else:
-        w = kernel_weights(kernel_matrix, kernel_by_lag, spec, grid)
-    return VolterraPath(Y=convolve(w, grid, inc), kernel=spec)
+    return _path(False, spec, grid, inc)
 
 
-def volterra_dh_path(spec: KernelSpec, grid: TimeGrid, inc: DriverIncrements) -> np.ndarray:
-    """Pathwise H-derivative: the same convolution with dK/dH weights."""
-    return convolve(kernel_weights(kernel_dh_matrix, kernel_dh_by_lag, spec, grid), grid, inc)
+def volterra_dh_path(spec: KernelSpec, grid: TimeGrid, inc: DriverIncrements) -> tuple[np.ndarray, np.ndarray]:
+    """Pathwise H-derivative dY/dH, the same convolution with dK/dH weights, and dK/dH's row integrals."""
+    return _path(True, spec, grid, inc)

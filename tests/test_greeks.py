@@ -92,6 +92,23 @@ def test_run_validation():
         estimate_many(["price", "delta"], BS_MODEL, BS_MKT, OPT, GRID, 100, seed=0, workers=2)
     with pytest.raises(ValueError, match=removed):
         converge("delta", BS_MODEL, BS_MKT, OPT, GRID, [10, 100], seed=0, workers=2)
+    # run sizes are integers: a float, even a whole one, is refused by name and never truncated
+    with pytest.raises(ValueError, match="n_paths must be an integer"):
+        estimate("delta", BS_MODEL, BS_MKT, OPT, GRID, 1000.0, seed=1)
+    for seed in (1.5, 1.0):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            estimate("delta", BS_MODEL, BS_MKT, OPT, GRID, 1000, seed=seed)
+    with pytest.raises(ValueError, match="ns_schedule entry must be an integer"):
+        converge("delta", BS_MODEL, BS_MKT, OPT, GRID, [1000.7, 2000.2], seed=1)
+
+
+def test_numpy_integer_run_sizes_keep_their_values():
+    assert estimate("delta", BS_MODEL, BS_MKT, OPT, GRID, np.int64(300), seed=np.uint32(1)) == estimate(
+        "delta", BS_MODEL, BS_MKT, OPT, GRID, 300, seed=1
+    )
+    trace = converge("delta", BS_MODEL, BS_MKT, OPT, GRID, [np.int32(100), np.int64(300)], seed=1)
+    assert trace == converge("delta", BS_MODEL, BS_MKT, OPT, GRID, [100, 300], seed=1)
+    assert [e.n_paths for e in trace] == [100, 300]
 
 
 def test_estimate_interval_shape():

@@ -96,7 +96,7 @@ def test_arfsv_single_step_factor_value():
     g = TimeGrid(T=1.0, n=1)
     dz = np.array([[0.5 / kernel_eval(K14, 1.0, 0.0)]])
     inc = DriverIncrements(dW=dz, dWt=dz, dZ=dz, rho=0.0)
-    y, _ = models._convolve(models.kernel_matrix, K14, g, inc)  # the Y that AlphaRFSV.path turns into V
+    y, _ = models.volterra_path(K14, g, inc)  # the Y that AlphaRFSV.path turns into V
     assert y[0, 1] == pytest.approx(0.5, rel=1e-14)
     v, _ = vol_path(m, g, inc)
     r1 = kernel_variance(K14, 1.0)
@@ -412,8 +412,8 @@ def test_bundle_builds_each_kernel_matrix_once(monkeypatch, kernel):
     model = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.5, kernel=kernel)
     inc = gen_increments(grid, model.rho, seed=13, n_paths=6)
     # the reference values, before any builder is counted
-    want_v = models._exp_factor(model.v0, model.xi, model.alpha, kernel, grid, volterra_path(kernel, grid, inc).Y)
-    want_dydh = volterra_dh_path(kernel, grid, inc)
+    want_v = models._exp_factor(model.v0, model.xi, model.alpha, kernel, grid, volterra_path(kernel, grid, inc)[0])
+    want_dydh = volterra_dh_path(kernel, grid, inc)[0]
     want_kh = grid.dt * kernel_mod.kernel_matrix(kernel, grid.times).sum(axis=1)
     want_khdh = grid.dt * kernel_mod.kernel_dh_matrix(kernel, grid.times).sum(axis=1)
 
@@ -429,47 +429,25 @@ def test_bundle_builds_each_kernel_matrix_once(monkeypatch, kernel):
         return wrapped
 
     for name in builds:
-        wrapped = counting(name)
-        for mod in (models, paths):
-            monkeypatch.setattr(mod, name, wrapped)
+        monkeypatch.setattr(paths, name, counting(name))
+    k = 0 if kernel == KBM else 1  # the running sum of H = 1/2, eps = 0 builds no matrix
     b = make_bundle(model, MKT, grid, inc)
-    assert builds == {"kernel_matrix": 1, "kernel_dh_matrix": 0}
+    assert builds == {"kernel_matrix": k, "kernel_dh_matrix": 0}
     # the path and the row integrals share one matrix and keep their values bit for bit
     assert np.array_equal(b.V, want_v)
     assert np.array_equal(b.aux["kappa_hat"], want_kh)
-    dydh, kappa_hat_dh = models._convolve(models.kernel_dh_matrix, kernel, grid, inc)  # as dtheta(H) does
-    assert builds == {"kernel_matrix": 1, "kernel_dh_matrix": 1}
+    dydh, kappa_hat_dh = volterra_dh_path(kernel, grid, inc)  # as dtheta(H) does
+    assert builds == {"kernel_matrix": k, "kernel_dh_matrix": 1}
     assert np.array_equal(dydh, want_dydh)
     assert np.array_equal(kappa_hat_dh, want_khdh)
-    with models.kernel_cache():  # dtheta(H) on several tiles of one call: one dK/dH build
+    with paths.run_threads():  # dtheta(H) on several tiles of one call: one dK/dH build
         model.dtheta(grid, b, "H")
         model.dtheta(grid, b, "H")
-    assert builds == {"kernel_matrix": 1, "kernel_dh_matrix": 2}
+    assert builds == {"kernel_matrix": k, "kernel_dh_matrix": 2}
 
     builds.update(kernel_matrix=0)
     mixed = MixedAlphaRFSV(v0=0.62, xi_h=0.21, xi_hp=0.3, alpha=1.0, rho=-0.5, kernel_h=kernel, kernel_hp=K30)
     make_bundle(mixed, MKT, grid, inc)
-    assert builds["kernel_matrix"] == 2
-
-
-@pytest.mark.parametrize("n", [600, 2048])
-def test_convolve_equals_the_public_doors(n):
-    # _convolve and volterra_path / volterra_dh_path take one route on
-    # GEMM (n = 600) and FFT (n = 2048) grids; the row integrals stay the
-    # dense matrix's row sums bit for bit on both
-    from volterra_greeks import paths
-    from volterra_greeks.kernel import kernel_dh_matrix, kernel_matrix
-    from volterra_greeks.paths import volterra_dh_path, volterra_path
-
-    assert (n >= paths._FFT_STEPS) == (n == 2048)
-    grid = TimeGrid(T=1.0, n=n)
-    inc = gen_increments(grid, -0.3, seed=n, n_paths=300)
-    for kernel in (K14, KernelSpec(H=0.7, eps=0.0)):
-        y, kappa_hat = models._convolve(models.kernel_matrix, kernel, grid, inc)
-        assert np.array_equal(y, volterra_path(kernel, grid, inc).Y)
-        assert np.array_equal(kappa_hat, grid.dt * kernel_matrix(kernel, grid.times).sum(axis=1))
-        dydh, kappa_hat_dh = models._convolve(models.kernel_dh_matrix, kernel, grid, inc)
-        assert np.array_equal(dydh, volterra_dh_path(kernel, grid, inc))
-        assert np.array_equal(kappa_hat_dh, grid.dt * kernel_dh_matrix(kernel, grid.times).sum(axis=1))
+    assert builds["kernel_matrix"] == k + 1
     with pytest.raises(ValueError):  # increments of another grid
-        AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.3, kernel=K14).path(TimeGrid(T=1.0, n=n + 1), inc)
+        model.path(TimeGrid(T=1.0, n=9), inc)

@@ -206,6 +206,17 @@ def test_fd_delta_agrees_for_stein_stein():
     assert abs(mall.value - fd.value) < 3 * math.hypot(mall.stderr, fd.stderr)
 
 
+def test_fd_relative_bump_of_a_negative_base():
+    # Stein-Stein accepts any finite v0: a relative bump is size * |v0|, the same as the matching absolute bump
+    ss = SteinStein(v0=-0.3, kappa=1.5, theta=0.25, nu=0.4, rho=-0.5)
+    mkt = MarketSpec(s0=100.0, r=0.0)
+    rel = fd_greek("vega", ss, mkt, OPT, GRID, 2000, seed=7, bump=BumpSpec("v0", 1e-2, False))
+    assert rel == fd_greek("vega", ss, mkt, OPT, GRID, 2000, seed=7, bump=BumpSpec("v0", 1e-2 * 0.3, True))
+    assert rel == fd_greek("vega", ss, mkt, OPT, GRID, 2000, seed=7)  # the default bump is the relative one
+    with pytest.raises(ValueError, match="relative bump of v0 needs a nonzero base value"):
+        fd_greek("vega", SteinStein(v0=0.0, kappa=1.5, theta=0.25, nu=0.4, rho=-0.5), mkt, OPT, GRID, 2000, seed=7)
+
+
 ROUGH = AlphaRFSV(v0=0.62, xi=0.21, alpha=1.0, rho=-0.05, kernel=KernelSpec(H=0.14, eps=1e-6))
 GRID16 = TimeGrid(T=1.0, n=16)
 TWO_CHUNKS = 8192 + 300  # greeks._CHUNK (two 4096-path draws) + a partial draw

@@ -9,8 +9,10 @@ from brute_force import stream2_increments
 from volterra_greeks import greeks, paths
 from volterra_greeks.kernel import (
     KernelSpec,
+    cell_variance_matrix,
     kernel_by_lag,
     kernel_dh_by_lag,
+    kernel_dh_matrix,
     kernel_eval,
     kernel_matrix,
     kernel_variance,
@@ -33,6 +35,10 @@ def test_grid_basics():
         TimeGrid(T=0.0, n=4)
     with pytest.raises(ValueError):
         TimeGrid(T=1.0, n=0)
+    for n in (2.5, 4.0, "4"):  # n.5 steps would run the grid past T
+        with pytest.raises(ValueError, match=r"\bn must be an integer"):
+            TimeGrid(T=1.0, n=n)
+    assert np.array_equal(TimeGrid(T=1.0, n=np.int64(4)).times, g.times)
 
 
 def test_increment_validation():
@@ -160,7 +166,7 @@ def test_calls_outside_a_run_start_no_thread(monkeypatch):
     spec, g = KernelSpec(H=0.14, eps=1e-6), TimeGrid(T=1.0, n=2048)
     inc, size = gen_increments(g, 0.3, seed=17, n_paths=300), paths._fft_len(2048)
     dz_hat = np.fft.rfft(inc.dZ, n=size)
-    ys = {kernel_by_lag: volterra_path(spec, g, inc).Y, kernel_dh_by_lag: volterra_dh_path(spec, g, inc)}
+    ys = {kernel_by_lag: volterra_path(spec, g, inc)[0], kernel_dh_by_lag: volterra_dh_path(spec, g, inc)[0]}
     for by_lag, y in ys.items():
         want = np.fft.irfft(dz_hat * np.fft.rfft(by_lag(spec, g.times), n=size), n=size)[:, :2048]
         assert np.array_equal(y[:, 1:], want) and np.all(y[:, 0] == 0.0)
@@ -170,16 +176,16 @@ def test_calls_outside_a_run_start_no_thread(monkeypatch):
 def test_h_half_path_is_cumsum():
     g = TimeGrid(T=1.0, n=64)
     inc = gen_increments(g, rho=0.2, seed=5, n_paths=3)
-    p = volterra_path(KernelSpec(H=0.5, eps=0.0), g, inc)
-    assert np.array_equal(p.Y[:, 1:], np.cumsum(inc.dZ, axis=-1))
-    assert np.all(p.Y[:, 0] == 0.0)
+    y = volterra_path(KernelSpec(H=0.5, eps=0.0), g, inc)[0]
+    assert np.array_equal(y[:, 1:], np.cumsum(inc.dZ, axis=-1))
+    assert np.all(y[:, 0] == 0.0)
 
 
 def test_two_step_path_unrolled():
     spec = KernelSpec(H=0.14, eps=0.0)
     g = TimeGrid(T=1.0, n=2)
     inc = gen_increments(g, rho=0.0, seed=1, n_paths=1)
-    y = volterra_path(spec, g, inc).Y[0]
+    y = volterra_path(spec, g, inc)[0][0]
     t = g.times
     assert y[0] == 0.0
     assert y[1] == pytest.approx(kernel_eval(spec, t[1], t[0]) * inc.dZ[0, 0], rel=1e-15)
@@ -241,60 +247,67 @@ def test_convolve_kernel_is_causal_across_row_blocks():
         assert moved[:, j + 1 :].all()
 
 
+_FFT_SPEC = KernelSpec(H=0.14, eps=1e-6)  # the _conv_case kernel
+
+
 def _fft_case(n):
-    """Spectrum and per-lag vector of the _conv_case kernel on an FFT grid."""
+    """Per-lag vector of the _conv_case kernel on an FFT grid."""
     assert n >= paths._FFT_STEPS
-    spec, grid = KernelSpec(H=0.14, eps=1e-6), TimeGrid(T=1.0, n=n)
-    w = paths.kernel_weights(kernel_matrix, kernel_by_lag, spec, grid)
-    assert w.ndim == 1  # a spectrum: no (n+1) x n matrix is built
-    return w, kernel_by_lag(spec, grid.times)
+    return kernel_by_lag(_FFT_SPEC, TimeGrid(T=1.0, n=n).times)
 
 
-def _fft_conv(w, dz, grid=None):
+def _fft_conv(dz, grid=None):
     grid = grid or TimeGrid(T=1.0, n=dz.shape[-1])
-    return paths.convolve(w, grid, DriverIncrements(dW=dz, dWt=dz, dZ=dz, rho=0.0))
+    return volterra_path(_FFT_SPEC, grid, DriverIncrements(dW=dz, dWt=dz, dZ=dz, rho=0.0))[0]
 
 
 @pytest.mark.parametrize("n", [1536, 2048, 2500])
-def test_fft_convolution_matches_dense(n):
+def test_fft_convolution_matches_dense(monkeypatch, n):
     # an FFT spreads its rounding over the whole row, so the bound is
     # normwise, |error| <= 1e-15 |k| |dz| per entry; a per-term bound fails
     # on rows with one tiny term (Y_1 = k_0 dZ_0 with dZ_0 near zero)
+    for name in ("kernel_matrix", "kernel_dh_matrix"):
+        monkeypatch.setattr(paths, name, None)  # a spectrum: no (n+1) x n matrix is built
     kmat, dzs = _conv_case(n, n)
-    w, k = _fft_case(n)
+    k = _fft_case(n)
     for dz in dzs:
-        got, want = _fft_conv(w, dz), _dense(kmat, dz)
+        got, want = _fft_conv(dz), _dense(kmat, dz)
         assert got.shape == want.shape == dz.shape[:-1] + (n + 1,)
         assert np.all(got[..., 0] == 0.0)
         scale = np.linalg.norm(k) * np.linalg.norm(dz, axis=-1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-15 * scale)
+    # the row integrals stay the dense matrices' row sums bit for bit
+    grid, dz = TimeGrid(T=1.0, n=n), dzs[1]
+    inc = DriverIncrements(dW=dz, dWt=dz, dZ=dz, rho=0.0)
+    for door, build in ((volterra_path, kernel_matrix), (volterra_dh_path, kernel_dh_matrix)):
+        assert np.array_equal(door(_FFT_SPEC, grid, inc)[1], grid.dt * build(_FFT_SPEC, grid.times).sum(axis=1))
 
 
 def test_fft_rows_do_not_depend_on_the_batch(monkeypatch):
     # FFT rows are transformed independently: no prefix exception on FFT grids
     spec, grid = KernelSpec(H=0.14, eps=1e-6), TimeGrid(T=1.0, n=2048)
     inc = gen_increments(grid, 0.3, seed=5, n_paths=2048)
-    y = volterra_path(spec, grid, inc).Y
-    assert np.array_equal(volterra_path(spec, grid, gen_increments(grid, 0.3, seed=5, n_paths=300)).Y, y[:300])
+    y = volterra_path(spec, grid, inc)[0]
+    assert np.array_equal(volterra_path(spec, grid, gen_increments(grid, 0.3, seed=5, n_paths=300))[0], y[:300])
     for lo, hi in ((0, 256), (256, 1024), (1024, 1100), (5, 9), (2047, 2048)):
         part = DriverIncrements(dW=inc.dW[lo:hi], dWt=inc.dWt[lo:hi], dZ=inc.dZ[lo:hi], rho=inc.rho)
-        assert np.array_equal(volterra_path(spec, grid, part).Y, y[lo:hi])
+        assert np.array_equal(volterra_path(spec, grid, part)[0], y[lo:hi])
     for cpus in (1, 3):  # in a run the transforms split the paths between threads
         monkeypatch.setattr(paths, "_cpu_count", lambda: cpus)
         part = DriverIncrements(dW=inc.dW[:300], dWt=inc.dWt[:300], dZ=inc.dZ[:300], rho=inc.rho)
         with paths.run_threads():
-            assert np.array_equal(volterra_path(spec, grid, part).Y, y[:300])
+            assert np.array_equal(volterra_path(spec, grid, part)[0], y[:300])
 
 
 def test_fft_convolution_is_causal():
     n = 2048
-    w, k = _fft_case(n)
+    k = _fft_case(n)
     dz = np.random.default_rng(3).standard_normal((5, n))
-    y = _fft_conv(w, dz)
+    y = _fft_conv(dz)
     for j in (0, 1, 1023, 1024, 2046, 2047):
         bumped = dz.copy()
         bumped[:, j] += 1.0
-        got = _fft_conv(w, bumped)
+        got = _fft_conv(bumped)
         assert np.all(got[:, j + 1 :] != y[:, j + 1 :])
         # the earlier entries move only by the transform's rounding
         scale = np.linalg.norm(k) * np.linalg.norm(bumped, axis=-1, keepdims=True)
@@ -316,12 +329,12 @@ def test_shape_mismatch_rejected():
 
 def test_fft_shape_mismatch_rejected():
     # a spectrum's length does not name its grid, so the grid is checked
-    w, _ = _fft_case(2048)
-    for cells in (2047, 2049):
-        with pytest.raises(ValueError):
-            _fft_conv(w, np.zeros((2, cells)), TimeGrid(T=1.0, n=2048))
-    with pytest.raises(ValueError):
-        _fft_conv(w, np.zeros((2, 2500)))  # increments of another grid, weights of this one
+    grid = TimeGrid(T=1.0, n=2048)
+    for cells in (2047, 2049, 2500):
+        dz = np.zeros((2, cells))
+        for door in (volterra_path, volterra_dh_path):
+            with pytest.raises(ValueError):
+                door(_FFT_SPEC, grid, DriverIncrements(dW=dz, dWt=dz, dZ=dz, rho=0.0))
 
 
 def test_fft_len_is_scipys_real_next_fast_len():
@@ -334,15 +347,16 @@ def test_fft_len_is_scipys_real_next_fast_len():
 
 @pytest.mark.parametrize("cell_integrated", [False, True])
 def test_terminal_variance_matches_scheme(cell_integrated):
-    # left-point variance is dt * sum_j K(T,t_j)^2; the RMS-cell scheme hits r(T)
+    # left-point variance is dt * sum_j K(T,t_j)^2; the RMS-cell weights (cell_variance_matrix) hit r(T)
     spec = KernelSpec(H=0.14, eps=0.0)
     g = TimeGrid(T=1.0, n=16)
     n_paths = 60_000
     inc = gen_increments(g, rho=0.0, seed=9, n_paths=n_paths)
-    yt = volterra_path(spec, g, inc, cell_integrated=cell_integrated).Y[:, -1]
     if cell_integrated:
+        yt = convolve_kernel(cell_variance_matrix(spec, g.times), inc.dZ)[:, -1]
         want = kernel_variance(spec, g.T)
     else:
+        yt = volterra_path(spec, g, inc)[0][:, -1]
         k = kernel_eval(spec, g.T, g.times[:-1])
         want = g.dt * float(k @ k)
     got = yt.var()
@@ -356,7 +370,7 @@ def test_path_covariance_matrix():
     g = TimeGrid(T=1.0, n=12)
     idx = [4, 8, 12]
     inc = gen_increments(g, rho=0.0, seed=21, n_paths=60_000)
-    y = volterra_path(spec, g, inc).Y[:, idx]
+    y = volterra_path(spec, g, inc)[0][:, idx]
     got = np.cov(y.T)
     want = np.empty((3, 3))
     t = g.times
@@ -375,10 +389,10 @@ def test_dh_path_matches_finite_difference():
     h = 1e-6
     for H, eps in [(0.14, 1e-6), (0.3, 0.0), (0.6, 0.0)]:
         fd = (
-            volterra_path(KernelSpec(H=H + h, eps=eps), g, inc).Y
-            - volterra_path(KernelSpec(H=H - h, eps=eps), g, inc).Y
+            volterra_path(KernelSpec(H=H + h, eps=eps), g, inc)[0]
+            - volterra_path(KernelSpec(H=H - h, eps=eps), g, inc)[0]
         ) / (2 * h)
-        got = volterra_dh_path(KernelSpec(H=H, eps=eps), g, inc)
+        got = volterra_dh_path(KernelSpec(H=H, eps=eps), g, inc)[0]
         assert np.allclose(got, fd, rtol=1e-4, atol=1e-7)
 
 
@@ -391,7 +405,7 @@ def test_dh_path_single_increment_analytic():
     from volterra_greeks.paths import DriverIncrements
 
     inc = DriverIncrements(dW=dz, dWt=dz, dZ=dz, rho=0.0)
-    got = volterra_dh_path(spec, g, inc)[0]
+    got = volterra_dh_path(spec, g, inc)[0][0]
     t = g.times
     want = np.array([0.0] + [1.0 + math.log(ti) for ti in t[1:]])
     assert np.allclose(got, want, rtol=1e-14, atol=1e-15)

@@ -25,7 +25,7 @@ from test_tiles import _draws
 
 from volterra_greeks import greeks, oracles, paths
 from volterra_greeks.greeks import OptionSpec, converge, estimate_many
-from volterra_greeks.kernel import KernelSpec, kernel_by_lag, kernel_matrix
+from volterra_greeks.kernel import KernelSpec
 from volterra_greeks.models import AlphaRFSV, MarketSpec
 from volterra_greeks.oracles import fd_greek
 from volterra_greeks.paths import TimeGrid
@@ -185,17 +185,16 @@ def test_fft_rows_finish_on_the_calling_thread_while_the_pool_is_held(monkeypatc
     # the helpers it queued behind them, and gives the values of a run-free call
     monkeypatch.setattr(paths, "_cpu_count", lambda: 3)
     grid = TimeGrid(T=1.0, n=paths._FFT_STEPS)
-    weights = paths.kernel_weights(kernel_matrix, kernel_by_lag, MODEL.kernel, grid)
     inc = paths.gen_increments(grid, MODEL.rho, seed=5, n_paths=700)
 
     def fresh():  # no dZ spectrum taken yet
         return paths.DriverIncrements(dW=inc.dW, dWt=inc.dWt, dZ=inc.dZ, rho=inc.rho)
 
-    want, release = paths.convolve(weights, grid, fresh()), threading.Event()
+    want, release = paths.volterra_path(MODEL.kernel, grid, fresh())[0], threading.Event()
     with paths.run_threads() as run:
         held = [run.pool.submit(release.wait, 30) for _ in range(3)]
         try:
-            got = paths.convolve(weights, grid, fresh())
+            got = paths.volterra_path(MODEL.kernel, grid, fresh())[0]
             assert not any(f.done() for f in held)
         finally:
             release.set()

@@ -19,8 +19,8 @@ from test_golden import GOLDEN, MARKET, MODELS, OPTION
 
 from volterra_greeks import greeks, models, oracles, paths
 from volterra_greeks.greeks import OptionSpec, estimate_many
-from volterra_greeks.kernel import KernelSpec, kernel_matrix
-from volterra_greeks.models import AlphaRFSV, MarketSpec, kernel_cache
+from volterra_greeks.kernel import KernelSpec, kernel_by_lag, kernel_dh_by_lag, kernel_matrix
+from volterra_greeks.models import AlphaRFSV, MarketSpec
 from volterra_greeks.oracles import fd_greek
 from volterra_greeks.paths import TimeGrid
 
@@ -174,12 +174,12 @@ def test_kernel_cache_builds_each_matrix_once_per_block(monkeypatch):
         builds.append(spec)
         return kernel_matrix(spec, times)
 
-    monkeypatch.setattr(models, "kernel_matrix", counting)
+    monkeypatch.setattr(paths, "kernel_matrix", counting)
     grid = TimeGrid(T=1.0, n=32)
     model = MODELS["alpharfsv"]
     inc = greeks.gen_increments(grid, model.rho, seed=1, n_paths=8)
     bumped = replace(model, kernel=KernelSpec(H=0.3))
-    with kernel_cache():
+    with paths.run_threads():
         (v1, first), (v2, second) = model.path(grid, inc), model.path(grid, inc)
         bumped.path(grid, inc)
     assert builds == [model.kernel, bumped.kernel]
@@ -187,7 +187,7 @@ def test_kernel_cache_builds_each_matrix_once_per_block(monkeypatch):
     assert first["kappa_hat"] is second["kappa_hat"] and not first["kappa_hat"].flags.writeable
     model.path(grid, inc)  # outside the block: built again, nothing kept
     assert builds == [model.kernel, bumped.kernel, model.kernel]
-    assert models._KERNELS.get(None) is None
+    assert paths._RUN.get(None) is None
 
 
 def test_chunks_share_one_matrix_build_per_call(monkeypatch):
@@ -199,7 +199,7 @@ def test_chunks_share_one_matrix_build_per_call(monkeypatch):
         builds.append(spec)
         return kernel_matrix(spec, times)
 
-    monkeypatch.setattr(models, "kernel_matrix", counting)
+    monkeypatch.setattr(paths, "kernel_matrix", counting)
     # 16 draws of 256 paths on the call's one cache: a cap below one tile
     # (one draw alive at a time), then two alive at once with 256-path tiles
     for chunk, tile, most_alive in ((256, 1024, 256), (512, 256, 512)):
@@ -213,15 +213,20 @@ def test_chunks_share_one_matrix_build_per_call(monkeypatch):
 
 
 def test_concurrent_host_threads_keep_their_own_kernel_cache(monkeypatch):
-    # two host threads in their own kernel_cache() blocks at once: an FFT grid
-    # (whose draw and transforms start threads of their own) and a dense one
-    builds, weights = [], paths.kernel_weights
+    # two host threads in their own runs at once: an FFT grid (whose draw
+    # and transforms start threads of their own) and a dense one; each
+    # kernel's weights start from one per-lag vector, on either route
+    builds = []
 
-    def counting(build, by_lag, spec, grid):
-        builds.append((grid.n, build.__name__))
-        return weights(build, by_lag, spec, grid)
+    def counting(by_lag):
+        def counted(spec, times):
+            builds.append((len(times) - 1, by_lag.__name__))
+            return by_lag(spec, times)
 
-    monkeypatch.setattr(paths, "kernel_weights", counting)
+        return counted
+
+    for by_lag in (kernel_by_lag, kernel_dh_by_lag):
+        monkeypatch.setattr(paths, by_lag.__name__, counting(by_lag))
     model, kinds = MODELS["alpharfsv"], ["delta", "hsens"]
     runs = {
         "fft": (TimeGrid(T=1.0, n=paths._FFT_STEPS), 2048),  # one draw, two tiles
