@@ -142,6 +142,8 @@ def payoff(opt: OptionSpec, s_t):
 
 def _check_kinds(kinds) -> list:
     kinds = list(kinds)
+    if not kinds:
+        raise ValueError("kinds must name at least one kind")
     for kind in kinds:
         if kind not in GREEK_KINDS:
             raise ValueError(f"unknown greek kind {kind!r}")

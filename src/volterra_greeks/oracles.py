@@ -57,6 +57,11 @@ def bs_price_greeks(
     s0: float, strike: float, maturity: float, r: float, sigma: float, payout: str = "call"
 ) -> BsGreeks:
     """Black-Scholes price and Greeks; vega is d/d sigma, rho is d/d r."""
+    for name, x in (("s0", s0), ("strike", strike), ("maturity", maturity), ("sigma", sigma)):
+        if not 0.0 < x < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {x}")
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
     st = sigma * math.sqrt(maturity)
     d1 = (math.log(s0 / strike) + (r + 0.5 * sigma * sigma) * maturity) / st
     d2 = d1 - st
@@ -110,7 +115,7 @@ class BumpSpec:
 
 
 def default_bump(parameter: str) -> BumpSpec:
-    size, absolute = _BUMP_DEFAULTS[parameter]
+    size, absolute = _BUMP_DEFAULTS.get(parameter, (1.0, False))  # BumpSpec names an unknown parameter
     return BumpSpec(parameter, size, absolute)
 
 

@@ -337,11 +337,11 @@ def gen_increments(
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
-    if n_paths < 1:
+    if _index("n_paths", n_paths) < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if seed < 0:
+    if _index("seed", seed) < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if start < 0:
+    if _index("start", start) < 0:
         raise ValueError(f"start must be >= 0, got {start}")
     z = np.empty((n_paths, 2, grid.n))
     dz = np.empty((n_paths, grid.n))

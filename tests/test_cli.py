@@ -262,9 +262,11 @@ def test_missing_file_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_price_command_matches_oracle(tmp_path):
+@pytest.mark.parametrize("payout", ["call", "digital_call"])
+def test_price_command_matches_oracle(tmp_path, payout):
     out = str(tmp_path / "price.csv")
     cfg = BS_CFG.replace("kinds = delta\n", "").replace("oracles = fd, bs\n", "")
+    cfg = cfg.replace("payoff = call\n", f"payoff = {payout}\n")
     assert main(["price", "--config", _write(tmp_path, cfg), "--out", out]) == 0
     header, cols, rows = _read_csv(out)
     assert header == "# volterra-greeks v2 schema; rng stream 2; convolution 2; normal 2"
@@ -273,7 +275,7 @@ def test_price_command_matches_oracle(tmp_path):
     assert len(rows) == 1
     row = dict(zip(cols, rows[0]))
     assert row["kind"] == "price" and row["n_paths"] == "8000" and row["seed"] == "7"
-    ref = bs_price_greeks(100.0, 100.0, 1.0, 0.0, 0.2).price
+    ref = bs_price_greeks(100.0, 100.0, 1.0, 0.0, 0.2, payout).price
     assert abs(float(row["value"]) - ref) < 3 * float(row["stderr"])
     assert float(row["ci_low"]) <= float(row["value"]) <= float(row["ci_high"])
 

@@ -76,6 +76,9 @@ def test_run_validation():
         estimate("delta", BS_MODEL, BS_MKT, OPT, GRID, 100, seed=0, confidence=1.0)
     with pytest.raises(ValueError):
         estimate("skew", BS_MODEL, BS_MKT, OPT, GRID, 100, seed=0)
+    # an empty kinds list is refused before anything is simulated, as fd_greek refuses it
+    with pytest.raises(ValueError, match="kinds must name at least one kind"):
+        estimate_many([], BS_MODEL, BS_MKT, OPT, GRID, 100, seed=0)
     # tasks are plain kinds; a (kind, variant) pair is an unknown kind
     with pytest.raises(ValueError, match="unknown greek kind"):
         estimate_many([("gamma", "derived")], BS_MODEL, BS_MKT, OPT, GRID, 100, seed=0)

@@ -31,6 +31,14 @@ def test_bs_examples():
         bs_price_greeks(100.0, 100.0, 1.0, 0.0, 0.2, "lookback")
 
 
+@pytest.mark.parametrize("name,value", [("s0", -100.0), ("strike", 0.0), ("maturity", 0.0), ("maturity", math.inf),
+                                        ("sigma", -0.2), ("sigma", 0.0), ("sigma", math.nan), ("r", math.nan)])
+def test_bs_rejects_invalid_inputs_by_name(name, value):
+    # unchecked, these give a negative price, NaN Greeks or an unnamed ZeroDivisionError or math domain error
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        bs_price_greeks(**{**dict(s0=100.0, strike=100.0, maturity=1.0, r=0.05, sigma=0.2), name: value})
+
+
 def test_normal_cdf_and_pdf_match_scipy():
     from scipy.special import ndtr
     from scipy.stats import norm
@@ -113,6 +121,8 @@ def test_default_bumps():
         BumpSpec("s0", -1e-3, True)
     with pytest.raises(ValueError):
         BumpSpec("strike", 1e-2, False)
+    with pytest.raises(ValueError, match=r"parameter must be one of \['H', 'r', 's0', 'v0'\], got 'x'"):
+        default_bump("x")
 
 
 def test_fd_validation():

@@ -51,6 +51,11 @@ def test_increment_validation():
         gen_increments(g, rho=0.0, seed=-1)
     with pytest.raises(ValueError, match="start must be >= 0, got -3"):
         gen_increments(g, rho=0.0, seed=0, start=-3)
+    # float sizes and keys are refused by name, not by numpy's unnamed TypeErrors
+    for kw, name in (({"seed": 1.5}, "seed"), ({"seed": 1.0}, "seed"), ({"seed": 0, "n_paths": 3.0}, "n_paths"),
+                     ({"seed": 0, "start": 2.0}, "start")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            gen_increments(g, rho=0.0, **kw)
 
 
 def test_rho_extremes():
